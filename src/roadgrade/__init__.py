@@ -22,13 +22,13 @@ from .grading import (GradeSeries, SomNetwork, label_series, ordinalize,
                       som_assign, som_train)
 from .metrics import (ConfusionMatrix, accuracy, grade_mae_series,
                       quadratic_weighted_kappa)
-from .model import (ForwardTrace, ModelConfig, ModelState, build_combinations,
+from .model import (ModelConfig, ModelState, build_combinations,
                     channel_fuse, fc_head, forward, highdim_attention,
-                    init_state, load_checkpoint, nll_loss, predict,
-                    predict_many, save_checkpoint, shared_gcn_layer,
-                    temporal_attention, train)
+                    init_state, load_checkpoint, nll_loss, predict_many,
+                    save_checkpoint, shared_gcn_layer, temporal_attention,
+                    train)
 from .optim import ParamSet, adam_step
-from .synth import generate_aperiodic, generate_synthetic
+from .synth import generate_synthetic
 from .tensor import Tensor, concat, grad_check, log_softmax, softmax, stack
 
 __version__ = "0.1.0"

@@ -17,6 +17,28 @@ from .pipeline import (load_config, run_ablate, run_evaluate,
 
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
 
+# name -> (help text, runner taking the config, horizon and parsed arguments)
+COMMANDS = {
+    "synth": ("generate a synthetic network and measurement series",
+              lambda cfg, horizon, args: run_synth(cfg)),
+    "graphs": ("build the four adjacency matrices and a Moran report",
+               lambda cfg, horizon, args: run_graphs(cfg, horizon)),
+    "label": ("assign congestion grades with the self-organizing map",
+              lambda cfg, horizon, args: run_label(cfg, horizon)),
+    "train": ("train the prediction model",
+              lambda cfg, horizon, args: run_train(cfg, horizon,
+                                                   variant=args.variant)),
+    "predict": ("predict test-split grades and dump the attention trace",
+                lambda cfg, horizon, args: run_predict(cfg, horizon)),
+    "evaluate": ("score the predictions file against the grade file: "
+                 "accuracy, kappa and the per-hour grade MAE",
+                 lambda cfg, horizon, args: run_evaluate(cfg, horizon)),
+    "explain": ("derive combination-importance reports",
+                lambda cfg, horizon, args: run_explain(cfg, horizon)),
+    "ablate": ("compare full and single-resolution models",
+               lambda cfg, horizon, args: run_ablate(cfg)),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -28,22 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="roadgrade",
                      description="Citywide traffic grade prediction pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("synth", "generate a synthetic network and measurement series"),
-        ("graphs", "build the four adjacency matrices and a Moran report"),
-        ("label", "assign congestion grades with the self-organizing map"),
-        ("train", "train the prediction model"),
-        ("predict", "predict test-split grades and dump the attention trace"),
-        ("evaluate", "compute accuracy, kappa and the per-hour grade MAE"),
-        ("explain", "derive combination-importance reports"),
-        ("ablate", "compare full and single-resolution models"),
-    ]:
-        cmd = sub.add_parser(name, help=doc)
+    for name, (doc, _) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=doc, description=doc)
         cmd.add_argument("--config", help="YAML run configuration file")
         cmd.add_argument("--seed", type=int, help="override the run seed")
         cmd.add_argument("--out", help="override the output directory")
-        cmd.add_argument("--heads", type=int,
-                         help="override the attention head count")
+        if name != "evaluate":  # evaluate runs no model
+            cmd.add_argument("--heads", type=int,
+                             help="override the attention head count")
         if name not in ("synth", "ablate"):
             cmd.add_argument("--horizon", type=int,
                              help="prediction horizon in hours "
@@ -56,30 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> list:
-    overrides = {"seed": args.seed, "out_dir": args.out, "heads": args.heads}
+    overrides = {"seed": args.seed, "out_dir": args.out,
+                 "heads": getattr(args, "heads", None)}
     cfg = load_config(args.config, overrides)
     horizon = getattr(args, "horizon", None)
     if horizon is None:
         horizon = cfg.horizons[0]
     elif horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    if args.command == "synth":
-        return run_synth(cfg)
-    if args.command == "graphs":
-        return run_graphs(cfg, horizon)
-    if args.command == "label":
-        return run_label(cfg, horizon)
-    if args.command == "train":
-        return run_train(cfg, horizon, variant=args.variant)
-    if args.command == "predict":
-        return run_predict(cfg, horizon)
-    if args.command == "evaluate":
-        return run_evaluate(cfg, horizon)
-    if args.command == "explain":
-        return run_explain(cfg, horizon)
-    if args.command == "ablate":
-        return run_ablate(cfg)
-    raise ConfigError(f"unknown command {args.command!r}")
+    _, runner = COMMANDS[args.command]
+    return runner(cfg, horizon, args)
 
 
 def main(argv=None) -> int:

@@ -28,8 +28,6 @@ class TrafficSeries:
 
     values: np.ndarray
     start: datetime
-    channel_min: np.ndarray | None = None
-    channel_max: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -48,10 +46,6 @@ class TrafficSeries:
     @property
     def t(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def is_normalized(self) -> bool:
-        return self.channel_min is not None
 
     def timestamp(self, hour: int) -> datetime:
         return self.start + hour * HOUR
@@ -76,16 +70,7 @@ def minmax_normalize(series: TrafficSeries,
         if cmax[c] <= cmin[c]:
             raise DataError(f"channel {name!r} is constant on the fit range")
     scaled = (series.values - cmin) / (cmax - cmin)
-    return TrafficSeries(np.clip(scaled, 0.0, 1.0), series.start,
-                         channel_min=cmin, channel_max=cmax)
-
-
-def denormalize(series: TrafficSeries) -> TrafficSeries:
-    if not series.is_normalized:
-        raise ValueError("series carries no normalization statistics")
-    raw = series.values * (series.channel_max - series.channel_min)
-    raw = raw + series.channel_min
-    return TrafficSeries(raw, series.start)
+    return TrafficSeries(np.clip(scaled, 0.0, 1.0), series.start)
 
 
 @dataclass(frozen=True)
@@ -313,6 +298,10 @@ def read_grades_csv(path, road_ids: list[str]
     hours = sorted({ts for marks in per_road.values() for ts in marks})
     if not hours:
         raise DataError(f"{path}: no grades")
+    for before, after in zip(hours, hours[1:]):
+        if after - before != HOUR:
+            raise DataError(f"{path}: no grades for the hour after "
+                            f"{before.isoformat()}")
     start = hours[0]
     grades = np.zeros((len(road_ids), len(hours)), dtype=np.int64)
     for r, rid in enumerate(road_ids):

@@ -62,21 +62,12 @@ def normalize_heatmap(aggregated: np.ndarray) -> np.ndarray:
     return flat.reshape(aggregated.shape)
 
 
-def combination_importance(heatmap: np.ndarray,
-                           sum_axis: str = "column") -> np.ndarray:
-    """Per-combination importance: column (or row) sums, then softmax.
+def combination_importance(heatmap: np.ndarray) -> np.ndarray:
+    """Per-combination importance: column sums, then softmax.
 
-    Columns index the attended-to combination; `sum_axis="row"` is kept for
-    sensitivity analysis.
+    Columns index the attended-to combination.
     """
-    heatmap = np.asarray(heatmap)
-    if sum_axis == "column":
-        sums = heatmap.sum(axis=0)
-    elif sum_axis == "row":
-        sums = heatmap.sum(axis=1)
-    else:
-        raise ValueError(f"unknown sum_axis {sum_axis!r}")
-    return softmax(sums)
+    return softmax(np.asarray(heatmap).sum(axis=0))
 
 
 def _split_label(label: str) -> tuple[str, str]:
@@ -127,11 +118,10 @@ class ImportanceReport:
     prediction_length: int
 
 
-def build_report(record: AttentionRecord,
-                 sum_axis: str = "column") -> ImportanceReport:
+def build_report(record: AttentionRecord) -> ImportanceReport:
     aggregated = aggregate_attention(record.attention)
     heatmap = normalize_heatmap(aggregated)
-    importance = combination_importance(heatmap, sum_axis=sum_axis)
+    importance = combination_importance(heatmap)
     return ImportanceReport(
         labels=record.labels,
         aggregated=aggregated,

@@ -20,9 +20,6 @@ class SomNetwork:
 
     weights: np.ndarray          # (nodes, features)
     grid: tuple[int, int]
-    learn_rate0: float = 0.1
-    radius0: float = 3.0
-    max_iter: int = 200
 
     def __post_init__(self):
         rows, cols = self.grid
@@ -30,16 +27,10 @@ class SomNetwork:
             raise ValueError("grid size must equal the node count")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("node weights must be finite")
-        if self.learn_rate0 <= 0 or self.radius0 <= 0 or self.max_iter <= 0:
-            raise ValueError("schedule parameters must be positive")
 
     @property
     def n_nodes(self) -> int:
         return self.weights.shape[0]
-
-    def node_coordinates(self) -> np.ndarray:
-        rows, cols = self.grid
-        return np.array([divmod(j, cols) for j in range(rows * cols)])
 
 
 @dataclass(frozen=True)
@@ -77,6 +68,8 @@ def som_train(samples: np.ndarray, class_count: int,
     the sample by learn_rate * radius; late iterations update the winner
     alone.
     """
+    if learn_rate0 <= 0 or max_iter <= 0:
+        raise ValueError("learning rate and iteration count must be positive")
     samples = _check_samples(samples)
     if np.any(samples < 0) or np.any(samples > 1):
         raise ValueError("samples must be normalized to [0, 1]")
@@ -108,8 +101,7 @@ def som_train(samples: np.ndarray, class_count: int,
             winner = int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
             hood = hoods[winner]
             weights[hood] += gain * (x - weights[hood])
-    return SomNetwork(weights=weights, grid=grid, learn_rate0=learn_rate0,
-                      radius0=radius0, max_iter=max_iter)
+    return SomNetwork(weights=weights, grid=grid)
 
 
 def som_assign(som: SomNetwork, samples: np.ndarray) -> np.ndarray:
@@ -143,14 +135,6 @@ def ordinalize(som: SomNetwork, samples: np.ndarray,
     perm = np.empty(som.n_nodes, dtype=np.int64)
     perm[order] = np.arange(1, som.n_nodes + 1)
     return perm
-
-
-def reorder_nodes(som: SomNetwork, perm: np.ndarray) -> SomNetwork:
-    """Rebuild the map with nodes arranged in grade order."""
-    order = np.argsort(perm)
-    return SomNetwork(weights=som.weights[order], grid=som.grid,
-                      learn_rate0=som.learn_rate0, radius0=som.radius0,
-                      max_iter=som.max_iter)
 
 
 def label_series(values: np.ndarray, class_count: int, seed: int = 0,

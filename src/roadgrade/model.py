@@ -26,7 +26,7 @@ RESOLUTION_KEYS = ("hour", "day", "week")
 RESOLUTION_LETTERS = {"hour": "h", "day": "d", "week": "w"}
 
 CHECKPOINT_FORMAT = "roadgrade-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -227,62 +227,35 @@ def nll_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 @dataclass
 class ForwardPass:
-    combinations: list[Tensor]
-    stacked: Tensor
-    attention: Tensor
-    fused: Tensor
-    logits: Tensor
-
-
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Numeric snapshot of one forward pass, kept for the explain stage."""
-
-    combinations: np.ndarray    # (comb, roads, d)
-    attention: np.ndarray       # (heads, comb, comb, d)
-    fused: np.ndarray           # (comb, roads, d)
-    logits: np.ndarray          # (roads, grades)
-    labels: tuple[str, ...]
+    logits: Tensor       # (roads, grades)
+    attention: Tensor    # (heads, comb, comb, d)
 
 
 def forward(state: ModelState, sample: ResolutionSample,
             graphs: GraphSet) -> ForwardPass:
     combinations = build_combinations(sample, graphs, state)
-    stacked = stack(combinations, axis=0)
-    fused, attn = highdim_attention(stacked, state)
+    fused, attn = highdim_attention(stack(combinations, axis=0), state)
     logits = fc_head(fused, state.params["head/weight"],
                      state.params["head/bias"])
-    return ForwardPass(combinations=combinations, stacked=stacked,
-                       attention=attn, fused=fused, logits=logits)
-
-
-def predict(state: ModelState, sample: ResolutionSample, graphs: GraphSet
-            ) -> tuple[np.ndarray, ForwardTrace]:
-    """Grades per road (argmax, ties to the lowest grade) plus the trace."""
-    run = forward(state, sample, graphs)
-    grades = np.argmax(run.logits.data, axis=1) + 1
-    trace = ForwardTrace(
-        combinations=run.stacked.data.copy(),
-        attention=run.attention.data.copy(),
-        fused=run.fused.data.copy(),
-        logits=run.logits.data.copy(),
-        labels=tuple(state.config.combination_labels()),
-    )
-    return grades, trace
+    return ForwardPass(logits=logits, attention=attn)
 
 
 def predict_many(state: ModelState, samples: list[ResolutionSample],
                  graphs: GraphSet) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions (samples, roads) and the mean attention tensor."""
+    """Grades (samples, roads) and the mean attention tensor.
+
+    Each road's grade is the argmax of its logits, ties to the lowest grade.
+    """
     if not samples:
         raise ValueError("no samples to predict")
     preds = []
     attn_total = None
     for sample in samples:
-        grades, trace = predict(state, sample, graphs)
-        preds.append(grades)
-        attn_total = (trace.attention if attn_total is None
-                      else attn_total + trace.attention)
+        run = forward(state, sample, graphs)
+        preds.append(np.argmax(run.logits.data, axis=1) + 1)
+        attn = run.attention.data
+        attn_total = attn if attn_total is None else attn_total + attn
+        del run  # free this sample's autodiff graph before the next forward
     return np.stack(preds), attn_total / len(samples)
 
 
@@ -363,10 +336,7 @@ def save_checkpoint(path, state: ModelState) -> None:
         "version": CHECKPOINT_VERSION,
         "seed": state.seed,
         "config": config,
-        "step": state.params.step,
         "params": _pack({n: p.data for n, p in state.params.params.items()}),
-        "adam_first": _pack(state.params.first_moment),
-        "adam_second": _pack(state.params.second_moment),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
@@ -391,10 +361,4 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None
                         "requested configuration")
     state = init_state(config, seed=payload["seed"])
     state.params.load_values(_unpack(payload["params"]))
-    first = _unpack(payload["adam_first"])
-    second = _unpack(payload["adam_second"])
-    for name in state.params.names():
-        state.params.first_moment[name] = first[name]
-        state.params.second_moment[name] = second[name]
-    state.params.step = payload["step"]
     return state

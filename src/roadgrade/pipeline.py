@@ -66,9 +66,17 @@ class RunConfig:
         if not self.horizons or min(self.horizons) < 1:
             raise ConfigError("horizons must be positive")
         for name in ("n_grades", "hidden1", "hidden2", "heads", "epochs",
-                     "batch_size", "train_size", "som_max_iter"):
+                     "batch_size", "train_size", "som_max_iter",
+                     "window_hours", "window_days", "window_weeks",
+                     "pattern_hours"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("learning_rate", "alpha_speed", "alpha_flow",
+                     "som_learn_rate"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
+        if not self.som_radius > 1:
+            raise ConfigError("som_radius must be > 1")
 
     @property
     def windows(self) -> tuple[int, int, int]:
@@ -152,6 +160,14 @@ def fit_hours(cfg: RunConfig, series_t: int, horizon: int) -> tuple[int, int]:
     return 0, end
 
 
+def _read_grades(path: Path, road_ids: list[str], n_grades: int):
+    """A grade or predictions file whose grades all lie in [1, n_grades]."""
+    grades, start = data.read_grades_csv(path, road_ids)
+    if grades.min() < 1 or grades.max() > n_grades:
+        raise DataError(f"{path}: grades must lie in [1, {n_grades}]")
+    return grades, start
+
+
 def _prepared(cfg: RunConfig, horizon: int):
     """Everything the model stages share: graphs, samples, splits."""
     net, series, road_ids = load_inputs(cfg)
@@ -160,9 +176,9 @@ def _prepared(cfg: RunConfig, horizon: int):
     graph_set = graphs.GraphSet.build(
         net, series, window, alpha_speed=cfg.alpha_speed,
         alpha_flow=cfg.alpha_flow, pattern_hours=cfg.pattern_hours)
-    grade_values, start = data.read_grades_csv(
+    grade_values, start = _read_grades(
         _require(cfg.out_path(grades_name(horizon)), "grade file"),
-        road_ids)
+        road_ids, cfg.n_grades)
     if start != series.start or grade_values.shape[1] != series.t:
         raise DataError("grade file does not cover the measurement series")
     samples = data.enumerate_samples(normalized, grade_values, horizon,
@@ -171,8 +187,7 @@ def _prepared(cfg: RunConfig, horizon: int):
         train_set, val_set, test_set = data.split(samples, cfg.split_sizes)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    return net, series, normalized, road_ids, graph_set, \
-        (train_set, val_set, test_set)
+    return net, series, road_ids, graph_set, (train_set, val_set, test_set)
 
 
 # -- artifact names ---------------------------------------------------------------
@@ -180,6 +195,10 @@ def _prepared(cfg: RunConfig, horizon: int):
 
 def grades_name(horizon: int) -> str:
     return f"grades_h{horizon}.csv"
+
+
+def predictions_name(horizon: int) -> str:
+    return f"predictions_h{horizon}.csv"
 
 
 def _variant_suffix(variant: str) -> str:
@@ -281,31 +300,25 @@ def _train_and_save(cfg: RunConfig, horizon: int, n_roads: int, graph_set,
 
 def run_train(cfg: RunConfig, horizon: int,
               variant: str = "full") -> list[Path]:
-    net, _, _, _, graph_set, (train_set, val_set, _) = _prepared(cfg, horizon)
+    net, _, _, graph_set, (train_set, val_set, _) = _prepared(cfg, horizon)
     _train_and_save(cfg, horizon, net.n, graph_set, train_set, val_set,
                     variant)
     return [cfg.out_path(checkpoint_name(horizon, variant)),
             cfg.out_path(training_log_name(horizon, variant))]
 
 
-def _load_trained(cfg: RunConfig, horizon: int, n_roads: int,
-                  variant: str = "full") -> model.ModelState:
-    path = _require(cfg.out_path(checkpoint_name(horizon, variant)),
-                    "checkpoint")
-    resolutions = VARIANT_NAMES[variant]
-    return model.load_checkpoint(path, cfg.model_config(n_roads, resolutions))
-
-
 def run_predict(cfg: RunConfig, horizon: int) -> list[Path]:
-    net, series, _, road_ids, graph_set, (_, _, test_set) = \
+    net, series, road_ids, graph_set, (_, _, test_set) = \
         _prepared(cfg, horizon)
     if not test_set:
         raise DataError("test split is empty; nothing to predict")
-    state = _load_trained(cfg, horizon, net.n)
+    state = model.load_checkpoint(
+        _require(cfg.out_path(checkpoint_name(horizon)), "checkpoint"),
+        cfg.model_config(net.n))
     preds, mean_attention = model.predict_many(state, test_set, graph_set)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pred_path = out / f"predictions_h{horizon}.csv"
+    pred_path = out / predictions_name(horizon)
     target_hours = [s.target_hour for s in test_set]
     data.write_grades_csv(
         pred_path, preds.T,
@@ -318,13 +331,28 @@ def run_predict(cfg: RunConfig, horizon: int) -> list[Path]:
 
 
 def run_evaluate(cfg: RunConfig, horizon: int) -> list[Path]:
-    net, series, _, _, graph_set, (_, _, test_set) = _prepared(cfg, horizon)
-    if not test_set:
+    """Score the predictions file against the grade file on the test split."""
+    if cfg.test_size < 1:
         raise DataError("test split is empty; nothing to evaluate")
-    state = _load_trained(cfg, horizon, net.n)
-    preds, _ = model.predict_many(state, test_set, graph_set)
-    truth = np.stack([s.target for s in test_set])
-    mae = metrics.grade_mae_series(preds.T, truth.T)
+    _, road_ids = graphs.read_network_csv(
+        _require(cfg.network, "network file"))
+    grade_path = _require(cfg.out_path(grades_name(horizon)), "grade file")
+    grade_values, start = _read_grades(grade_path, road_ids, cfg.n_grades)
+    pred_path = _require(cfg.out_path(predictions_name(horizon)),
+                         "predictions file")
+    preds, pred_start = _read_grades(pred_path, road_ids, cfg.n_grades)
+    first = (data.first_anchor(horizon, cfg.windows) + cfg.train_size
+             + cfg.val_size + horizon)
+    last = first + cfg.test_size
+    first_stamp = start + first * data.HOUR
+    if pred_start != first_stamp or preds.shape[1] != cfg.test_size:
+        raise DataError(
+            f"{pred_path} does not cover the {cfg.test_size} test hours from "
+            f"{first_stamp.isoformat()}; rerun predict")
+    if last > grade_values.shape[1]:
+        raise DataError(f"{grade_path} ends before the test split")
+    truth = grade_values[:, first:last]
+    mae = metrics.grade_mae_series(preds, truth)
     payload = {
         "horizon": horizon,
         "accuracy": metrics.accuracy(preds, truth),
@@ -339,8 +367,8 @@ def run_evaluate(cfg: RunConfig, horizon: int) -> list[Path]:
     mae_path = out / f"mae_series_h{horizon}.csv"
     with open(mae_path, "w", newline="") as fh:
         fh.write("timestamp,grade_mae\n")
-        for sample, value in zip(test_set, mae):
-            stamp = series.timestamp(sample.target_hour).isoformat()
+        for offset, value in enumerate(mae):
+            stamp = (first_stamp + offset * data.HOUR).isoformat()
             fh.write(f"{stamp},{value!r}\n")
     return [metrics_path, mae_path]
 
@@ -367,7 +395,7 @@ def run_ablate(cfg: RunConfig) -> list[Path]:
     rows = []
     for horizon in cfg.horizons:
         run_label(cfg, horizon)
-        net, _, _, _, graph_set, splits = _prepared(cfg, horizon)
+        net, _, _, graph_set, splits = _prepared(cfg, horizon)
         train_set, val_set, test_set = splits
         if not test_set:
             raise DataError("test split is empty; nothing to compare")

@@ -105,34 +105,3 @@ def generate_synthetic(n_roads: int, weeks: int, seed: int
     values = _observe(rng, congestion, n_roads)
     return net, TrafficSeries(values, DEFAULT_START)
 
-
-def generate_aperiodic(n_roads: int, weeks: int, seed: int
-                       ) -> tuple[RoadNetwork, TrafficSeries]:
-    """Series whose congestion is a smooth random drift with no planted cycle.
-
-    The next hour is strongly determined by the recent hours and essentially
-    independent of the same hour yesterday or last week, which makes the
-    recent-history input channel the only informative one.
-    """
-    if n_roads < 4:
-        raise ValueError("need at least 4 roads")
-    if weeks < 1:
-        raise ValueError("need at least 1 week")
-    rng = np.random.default_rng(seed)
-    n_clusters = max(2, min(4, n_roads // 4))
-    clusters = _cluster_assignment(n_roads, n_clusters)
-    net = _random_connected_network(rng, n_roads, clusters)
-
-    t = weeks * 168
-    level = np.empty((n_clusters, t))
-    level[:, 0] = rng.uniform(0.2, 0.8, size=n_clusters)
-    shocks = rng.normal(0.0, 0.06, size=(n_clusters, t))
-    for h in range(1, t):
-        level[:, h] = np.clip(
-            0.94 * level[:, h - 1] + 0.06 * 0.5 + shocks[:, h], 0.0, 1.0)
-    road_gain = 1.0 + rng.uniform(-0.08, 0.08, size=n_roads)
-    congestion = np.clip(
-        road_gain[:, None] * level[clusters]
-        + rng.normal(0.0, 0.02, size=(n_roads, t)), 0.0, 1.0)
-    values = _observe(rng, congestion, n_roads)
-    return net, TrafficSeries(values, DEFAULT_START)

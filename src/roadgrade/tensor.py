@@ -356,7 +356,7 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor,
 def glorot_uniform(shape: Sequence[int], rng: np.random.Generator) -> Array:
     """Uniform init on [-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))]."""
     shape = tuple(shape)
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[-1]
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)

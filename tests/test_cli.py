@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a miniature synthetic corpus."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 import yaml
 
 from roadgrade.cli import main
-from roadgrade.data import read_grades_csv, read_measurements_csv, \
-    write_measurements_csv
-from roadgrade.graphs import read_adjacency_csv, write_network_csv, \
-    RoadNetwork
+from roadgrade.data import enumerate_samples, minmax_normalize, \
+    read_grades_csv, read_measurements_csv, split, write_measurements_csv
+from roadgrade.graphs import GraphSet, read_adjacency_csv, \
+    read_network_csv, write_network_csv, RoadNetwork
+from roadgrade.metrics import accuracy, quadratic_weighted_kappa
+from roadgrade.model import load_checkpoint, predict_many
+from roadgrade.pipeline import fit_hours, load_config
 from roadgrade.synth import DEFAULT_START
 from roadgrade.data import TrafficSeries
 
@@ -119,6 +123,28 @@ class TestPipeline:
         assert heat.shape == (12, 12)
         assert heat.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_evaluate_scores_the_models_test_predictions(self, pipeline):
+        _, config, out = pipeline
+        cfg = load_config(str(config))
+        net, road_ids = read_network_csv(cfg.network)
+        series, _ = read_measurements_csv(cfg.measurements, road_ids)
+        window = fit_hours(cfg, series.t, 1)
+        graph_set = GraphSet.build(
+            net, series, window, alpha_speed=cfg.alpha_speed,
+            alpha_flow=cfg.alpha_flow, pattern_hours=cfg.pattern_hours)
+        grades, _ = read_grades_csv(out / "grades_h1.csv", road_ids)
+        samples = enumerate_samples(minmax_normalize(series, window),
+                                    grades, 1, cfg.windows)
+        _, _, test_set = split(samples, cfg.split_sizes)
+        state = load_checkpoint(out / "checkpoint_h1.json",
+                                cfg.model_config(net.n))
+        preds, _ = predict_many(state, test_set, graph_set)
+        truth = np.stack([s.target for s in test_set])
+        payload = json.loads((out / "metrics_h1.json").read_text())
+        assert payload["accuracy"] == accuracy(preds, truth)
+        assert payload["quadratic_weighted_kappa"] == \
+            quadratic_weighted_kappa(preds, truth, cfg.n_grades)
+
 
 def test_rerun_is_byte_identical(tmp_path):
     first_cfg, first_out = write_config(tmp_path, "first")
@@ -154,14 +180,14 @@ def test_ablate_emits_comparison_table(tmp_path):
 
 
 class TestFailureModes:
-    def test_evaluate_without_checkpoint_exits_2_naming_file(self, tmp_path,
-                                                             capsys):
+    def test_evaluate_without_predictions_exits_2_naming_file(self, tmp_path,
+                                                              capsys):
         config, _ = write_config(tmp_path)
         assert main(["synth", "--config", str(config)]) == 0
         assert main(["label", "--config", str(config)]) == 0
         code = main(["evaluate", "--config", str(config)])
         assert code == 2
-        assert "checkpoint_h1.json" in capsys.readouterr().err
+        assert "predictions_h1.csv" in capsys.readouterr().err
 
     def test_train_without_grades_exits_2(self, tmp_path, capsys):
         config, _ = write_config(tmp_path)
@@ -201,6 +227,65 @@ class TestFailureModes:
             "road_id,timestamp,speed,flow\nR000,2020-01-06T00:00:00,oops,1\n")
         assert main(["graphs", "--config", str(config)]) == 2
         assert ":2" in capsys.readouterr().err
+
+
+def _copy_pipeline(pipeline, tmp_path, **extra):
+    """A config over a private copy of the pipeline fixture's artifacts."""
+    source, _, out = pipeline
+    config, copy = write_config(
+        tmp_path, network=str(source / "network.csv"),
+        measurements=str(source / "measurements.csv"), **extra)
+    shutil.copytree(out, copy)
+    return config, copy
+
+
+def _grade_nine(path):
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",9"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_fifth_test_hour(path):
+    lines = path.read_text().splitlines()
+    hour = lines[5].split(",")[1]  # rows are road-major
+    path.write_text("\n".join(line for line in lines
+                              if line.split(",")[1] != hour) + "\n")
+
+
+class TestStalePredictions:
+    @pytest.mark.parametrize("tamper, extra", [
+        (_grade_nine, {}),
+        (_drop_fifth_test_hour, {}),
+        (None, {"val_size": 10}),
+    ], ids=["grade-9", "missing-hour", "other-val-size"])
+    def test_evaluate_exits_2_naming_predictions(self, pipeline, tmp_path,
+                                                 capsys, tamper, extra):
+        config, out = _copy_pipeline(pipeline, tmp_path, **extra)
+        if tamper is not None:
+            tamper(out / "predictions_h1.csv")
+        assert main(["evaluate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "predictions_h1.csv" in err and "Traceback" not in err
+
+    def test_train_rejects_out_of_range_grade(self, pipeline, tmp_path,
+                                              capsys):
+        config, out = _copy_pipeline(pipeline, tmp_path)
+        _grade_nine(out / "grades_h1.csv")
+        assert main(["train", "--config", str(config)]) == 2
+        assert "grades_h1.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("som_radius", 1.0), ("som_learn_rate", 0), ("learning_rate", 0),
+    ("alpha_speed", 0), ("alpha_flow", 0), ("window_hours", 0),
+    ("window_days", 0), ("window_weeks", 0), ("pattern_hours", 0),
+    ("pattern_hours", -3),
+])
+def test_rejected_config_value_exits_1(tmp_path, capsys, key, value):
+    config, _ = write_config(tmp_path, **{key: value})
+    assert main(["synth", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "Traceback" not in err
 
 
 class TestOverrides:

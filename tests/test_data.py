@@ -5,8 +5,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from roadgrade.data import (TrafficSeries, denormalize, enumerate_samples,
-                            first_anchor, minmax_normalize,
+from roadgrade.data import (TrafficSeries, enumerate_samples, first_anchor, minmax_normalize,
                             read_grades_csv, read_measurements_csv,
                             resolution_indices, slice_sample, split,
                             write_grades_csv, write_measurements_csv)
@@ -60,12 +59,6 @@ class TestMinmaxNormalize:
         normalized = minmax_normalize(series, (0, 3))
         assert normalized.values[0, 3, 0] == 1.0
         assert normalized.values[0, 3, 1] == 0.0
-
-    def test_round_trip_within_fit_range(self):
-        series = make_series()
-        normalized = minmax_normalize(series, (0, series.t))
-        back = denormalize(normalized)
-        np.testing.assert_allclose(back.values, series.values, atol=1e-12)
 
     def test_constant_channel_rejected(self):
         values = np.ones((2, 5, 2))
@@ -196,3 +189,12 @@ class TestGradeCsv:
         write_grades_csv(path, np.array([[1]]), START, ["A"])
         with pytest.raises(DataError, match="unknown road"):
             read_grades_csv(path, ["B"])
+
+    def test_gap_in_hours_rejected(self, tmp_path):
+        path = tmp_path / "grades.csv"
+        write_grades_csv(path, np.array([[1, 2, 3]]), START, ["A"])
+        lines = path.read_text().splitlines()
+        del lines[2]  # drop hour 1 of the only road
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="grades.csv.*hour after"):
+            read_grades_csv(path, ["A"])

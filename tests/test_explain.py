@@ -75,14 +75,6 @@ class TestCombinationImportance:
         assert combination_importance(heat).sum() == pytest.approx(
             1.0, abs=1e-9)
 
-    def test_row_mode_flag(self):
-        heat = np.full((3, 3), 0.1)
-        heat[1, :] = 0.2
-        by_row = combination_importance(heat, sum_axis="row")
-        assert by_row.argmax() == 1
-        with pytest.raises(ValueError):
-            combination_importance(heat, sum_axis="diagonal")
-
 
 class TestDecouple:
     def test_uniform_importance_gives_uniform_groups(self):

@@ -1,5 +1,6 @@
 """Network operators against hand oracles, training behavior, checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from roadgrade.graphs import GraphSet, RoadNetwork, normalize_adjacency, \
     shortest_hop_matrix
 from roadgrade.model import (build_combinations, channel_fuse,
                              fc_head, forward, highdim_attention, init_state,
-                             load_checkpoint, nll_loss, predict, predict_many,
+                             load_checkpoint, nll_loss, predict_many,
                              save_checkpoint, shared_gcn_layer,
                              temporal_attention, train)
 from roadgrade.tensor import Tensor, grad_check, softmax
@@ -258,22 +259,25 @@ class TestPredict:
     def test_zero_head_predicts_lowest_grade(self, toy):
         toy.state.params["head/weight"].data[:] = 0.0
         toy.state.params["head/bias"].data[:] = 0.0
-        grades, _ = predict(toy.state, toy.sample(), toy.graphs)
-        assert grades.tolist() == [1] * toy.config.n_roads
+        preds, _ = predict_many(toy.state, [toy.sample()], toy.graphs)
+        assert preds[0].tolist() == [1] * toy.config.n_roads
 
     def test_argmax_shift_invariance(self, toy):
-        grades, trace = predict(toy.state, toy.sample(), toy.graphs)
-        shifted = trace.logits + np.linspace(-3, 3, trace.logits.shape[0])[:, None]
-        np.testing.assert_array_equal(np.argmax(shifted, axis=1) + 1, grades)
+        sample = toy.sample()
+        preds, _ = predict_many(toy.state, [sample], toy.graphs)
+        logits = forward(toy.state, sample, toy.graphs).logits.data
+        shifted = logits + np.linspace(-3, 3, logits.shape[0])[:, None]
+        np.testing.assert_array_equal(np.argmax(shifted, axis=1) + 1,
+                                      preds[0])
 
     def test_predict_many_shapes_and_mean_attention(self, toy):
         samples = [toy.sample() for _ in range(3)]
         preds, mean_attn = predict_many(toy.state, samples, toy.graphs)
         assert preds.shape == (3, toy.config.n_roads)
-        traces = [predict(toy.state, s, toy.graphs)[1] for s in samples]
-        np.testing.assert_allclose(
-            mean_attn, np.mean([t.attention for t in traces], axis=0),
-            atol=1e-12)
+        attentions = [forward(toy.state, s, toy.graphs).attention.data
+                      for s in samples]
+        np.testing.assert_allclose(mean_attn, np.mean(attentions, axis=0),
+                                   atol=1e-12)
         np.testing.assert_allclose(mean_attn.sum(axis=2), 1.0, atol=1e-9)
 
 
@@ -397,12 +401,11 @@ class TestCheckpoint:
         log = train(toy.state, samples, [], toy.graphs)  # touch adam state
         save_checkpoint(path, toy.state)
         loaded = load_checkpoint(path, toy.config)
-        assert loaded.params.step == toy.state.params.step
         for name in toy.state.params.names():
             np.testing.assert_array_equal(loaded.params[name].data,
                                           toy.state.params[name].data)
-        base, _ = predict(toy.state, sample, toy.graphs)
-        again, _ = predict(loaded, sample, toy.graphs)
+        base, _ = predict_many(toy.state, [sample], toy.graphs)
+        again, _ = predict_many(loaded, [sample], toy.graphs)
         np.testing.assert_array_equal(base, again)
 
     def test_config_mismatch_rejected(self, toy, tmp_path):
@@ -411,6 +414,16 @@ class TestCheckpoint:
         other = toy_config(n=4, heads=4)
         with pytest.raises(DataError):
             load_checkpoint(path, other)
+
+    def test_version_1_rejected(self, toy, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, toy.state)
+        payload = json.loads(path.read_text())
+        assert "step" not in payload and "adam_first" not in payload
+        payload["version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="version-2"):
+            load_checkpoint(path, toy.config)
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

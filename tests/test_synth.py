@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from roadgrade.graphs import shortest_hop_matrix
-from roadgrade.synth import generate_aperiodic, generate_synthetic
+from roadgrade.synth import generate_synthetic
 
 
 def autocorrelation(series, lag):
@@ -53,18 +53,3 @@ def test_preconditions():
     with pytest.raises(ValueError):
         generate_synthetic(8, 3, seed=0)
 
-
-class TestAperiodic:
-    def test_deterministic_and_connected(self):
-        net_a, series_a = generate_aperiodic(8, 4, seed=5)
-        net_b, series_b = generate_aperiodic(8, 4, seed=5)
-        assert np.array_equal(series_a.values, series_b.values)
-        assert np.all(np.isfinite(shortest_hop_matrix(net_a)))
-        assert net_a.edges == net_b.edges
-
-    def test_recent_hours_dominate_daily_lag(self):
-        # drift signal: strong hour-to-hour memory, no daily cycle
-        _, series = generate_aperiodic(8, 4, seed=11)
-        for road in range(series.n):
-            speed = series.values[road, :, 0]
-            assert autocorrelation(speed, 1) > autocorrelation(speed, 24) + 0.2
