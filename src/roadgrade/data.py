@@ -9,6 +9,7 @@ prior weeks, together with the grade targets at tau + horizon.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -311,3 +312,15 @@ def read_grades_csv(path, road_ids: list[str]
                     f"{path}: road {rid!r} missing grade at {ts.isoformat()}")
             grades[r, h] = per_road[rid][ts]
     return grades, start
+
+
+def read_json_object(path, role: str) -> dict:
+    """A JSON artifact whose top level is an object."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {role} {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: {role} must be a JSON object")
+    return payload

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_json_object
 from .errors import DataError
 from .graphs import GRAPH_KEYS, GRAPH_LETTERS
 from .tensor import softmax
@@ -151,22 +152,18 @@ def write_attention_record(path, record: AttentionRecord) -> None:
 
 
 def read_attention_record(path) -> AttentionRecord:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read attention record {path}: {exc}") \
-            from None
+    payload = read_json_object(path, "attention record")
     if (payload.get("format") != TRACE_FORMAT
             or payload.get("version") != TRACE_VERSION):
         raise DataError(f"{path} is not a version-{TRACE_VERSION} "
                         "attention record")
-    attention = np.array(payload["values"]).reshape(payload["shape"])
     try:
+        attention = np.array(payload["values"]).reshape(payload["shape"])
         return AttentionRecord(attention, tuple(payload["labels"]),
                                payload["prediction_length"])
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed attention record {path}: {exc!r}") \
+            from None
 
 
 def write_report_json(path, report: ImportanceReport) -> None:

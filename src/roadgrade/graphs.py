@@ -38,8 +38,8 @@ class RoadNetwork:
         object.__setattr__(self, "lengths", lengths)
         if lengths.ndim != 1 or lengths.size == 0:
             raise ValueError("lengths must be a non-empty 1-D array")
-        if not np.all(lengths > 0):
-            raise ValueError("road lengths must be positive")
+        if not np.all(np.isfinite(lengths) & (lengths > 0)):
+            raise ValueError("road lengths must be finite and positive")
         n = lengths.size
         canonical = set()
         for a, b in self.edges:
@@ -462,4 +462,9 @@ def read_adjacency_csv(path) -> tuple[np.ndarray, list[str]]:
         raise DataError(f"{path}: {exc}") from None
     if matrix.shape != (n, n):
         raise DataError(f"{path}: ragged adjacency rows")
+    if not (np.all(np.isfinite(matrix)) and np.all(matrix >= 0)
+            and np.all(np.diag(matrix) == 0)
+            and np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12)):
+        raise DataError(f"{path}: adjacency must be finite, non-negative, "
+                        "symmetric and zero on the diagonal")
     return matrix, road_ids

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import ResolutionSample, SPEED, FLOW
+from .data import ResolutionSample, SPEED, FLOW, read_json_object
 from .errors import DataError, NumericError
 from .graphs import GraphSet, GRAPH_KEYS, GRAPH_LETTERS
 from .optim import ParamSet, adam_step
@@ -344,21 +344,20 @@ def save_checkpoint(path, state: ModelState) -> None:
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None
                     ) -> ModelState:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from None
+    payload = read_json_object(path, "checkpoint")
     if (payload.get("format") != CHECKPOINT_FORMAT
             or payload.get("version") != CHECKPOINT_VERSION):
         raise DataError(f"{path} is not a version-{CHECKPOINT_VERSION} "
                         "checkpoint")
-    raw_config = dict(payload["config"])
-    raw_config["resolutions"] = tuple(raw_config["resolutions"])
-    config = ModelConfig(**raw_config)
-    if expected_config is not None and config != expected_config:
-        raise DataError(f"checkpoint config in {path} does not match the "
-                        "requested configuration")
-    state = init_state(config, seed=payload["seed"])
-    state.params.load_values(_unpack(payload["params"]))
+    try:
+        raw_config = dict(payload["config"])
+        raw_config["resolutions"] = tuple(raw_config["resolutions"])
+        config = ModelConfig(**raw_config)
+        if expected_config is not None and config != expected_config:
+            raise DataError(f"checkpoint config in {path} does not match "
+                            "the requested configuration")
+        state = init_state(config, seed=payload["seed"])
+        state.params.load_values(_unpack(payload["params"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint {path}: {exc!r}") from None
     return state

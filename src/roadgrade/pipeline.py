@@ -168,26 +168,48 @@ def _read_grades(path: Path, road_ids: list[str], n_grades: int):
     return grades, start
 
 
+def _graph_inputs(cfg: RunConfig, window: tuple[int, int]) -> dict:
+    """What the graphs depend on besides the network and measurements."""
+    return {"window_hours": list(window), "alpha_speed": cfg.alpha_speed,
+            "alpha_flow": cfg.alpha_flow, "pattern_hours": cfg.pattern_hours}
+
+
+def _read_graphs(cfg: RunConfig, road_ids: list[str],
+                 window: tuple[int, int]) -> graphs.GraphSet:
+    """The four graphs that `graphs` wrote with this config and window."""
+    report_path = _require(cfg.out_path("moran_report.json"), "Moran report")
+    report = data.read_json_object(report_path, "Moran report")
+    stale = ", ".join(key for key, value in _graph_inputs(cfg, window).items()
+                      if report.get(key) != value)
+    if stale:
+        raise DataError(f"{report_path}: {stale} changed; rerun graphs")
+    matrices = {}
+    for key in graphs.GRAPH_KEYS:
+        path = _require(cfg.out_path(f"adjacency_{key}.csv"), "adjacency file")
+        matrices[key], header = graphs.read_adjacency_csv(path)
+        if header != road_ids:
+            raise DataError(f"{path}: header is not the network's roads")
+    return graphs.GraphSet(**matrices)
+
+
 def _prepared(cfg: RunConfig, horizon: int):
-    """Everything the model stages share: graphs, samples, splits."""
-    net, series, road_ids = load_inputs(cfg)
+    """What the model stages share: the graphs read, samples, splits."""
+    _, series, road_ids = load_inputs(cfg)
     window = fit_hours(cfg, series.t, horizon)
     normalized = data.minmax_normalize(series, window)
-    graph_set = graphs.GraphSet.build(
-        net, series, window, alpha_speed=cfg.alpha_speed,
-        alpha_flow=cfg.alpha_flow, pattern_hours=cfg.pattern_hours)
     grade_values, start = _read_grades(
         _require(cfg.out_path(grades_name(horizon)), "grade file"),
         road_ids, cfg.n_grades)
     if start != series.start or grade_values.shape[1] != series.t:
         raise DataError("grade file does not cover the measurement series")
+    graph_set = _read_graphs(cfg, road_ids, window)
     samples = data.enumerate_samples(normalized, grade_values, horizon,
                                      cfg.windows)
     try:
         train_set, val_set, test_set = data.split(samples, cfg.split_sizes)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    return net, series, road_ids, graph_set, (train_set, val_set, test_set)
+    return series, road_ids, graph_set, (train_set, val_set, test_set)
 
 
 # -- artifact names ---------------------------------------------------------------
@@ -246,7 +268,7 @@ def run_graphs(cfg: RunConfig, horizon: int) -> list[Path]:
         graphs.write_adjacency_csv(path, graph_set.raw(key), road_ids)
         written.append(path)
     conn = graphs.ConnectivityWeights.from_network(net)
-    report = {"window_hours": list(window), "channels": {}}
+    report = {**_graph_inputs(cfg, window), "channels": {}}
     for channel, name in enumerate(data.CHANNEL_NAMES):
         field_values = series.values[:, window[0]:window[1], channel].mean(
             axis=1)
@@ -300,21 +322,20 @@ def _train_and_save(cfg: RunConfig, horizon: int, n_roads: int, graph_set,
 
 def run_train(cfg: RunConfig, horizon: int,
               variant: str = "full") -> list[Path]:
-    net, _, _, graph_set, (train_set, val_set, _) = _prepared(cfg, horizon)
-    _train_and_save(cfg, horizon, net.n, graph_set, train_set, val_set,
-                    variant)
+    _, road_ids, graph_set, (train_set, val_set, _) = _prepared(cfg, horizon)
+    _train_and_save(cfg, horizon, len(road_ids), graph_set, train_set,
+                    val_set, variant)
     return [cfg.out_path(checkpoint_name(horizon, variant)),
             cfg.out_path(training_log_name(horizon, variant))]
 
 
 def run_predict(cfg: RunConfig, horizon: int) -> list[Path]:
-    net, series, road_ids, graph_set, (_, _, test_set) = \
-        _prepared(cfg, horizon)
+    series, road_ids, graph_set, (_, _, test_set) = _prepared(cfg, horizon)
     if not test_set:
         raise DataError("test split is empty; nothing to predict")
     state = model.load_checkpoint(
         _require(cfg.out_path(checkpoint_name(horizon)), "checkpoint"),
-        cfg.model_config(net.n))
+        cfg.model_config(len(road_ids)))
     preds, mean_attention = model.predict_many(state, test_set, graph_set)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -389,19 +410,20 @@ def run_explain(cfg: RunConfig, horizon: int) -> list[Path]:
 def run_ablate(cfg: RunConfig) -> list[Path]:
     """Train the full model and the single-resolution variants, then compare.
 
-    Self-contained: labels grades and trains everything per horizon, so only
-    the network and measurement files are required up front.
+    Self-contained: per horizon it runs `graphs` and `label`, then trains,
+    so only the network and measurement files are required up front.
     """
     rows = []
     for horizon in cfg.horizons:
+        run_graphs(cfg, horizon)
         run_label(cfg, horizon)
-        net, _, _, graph_set, splits = _prepared(cfg, horizon)
+        _, road_ids, graph_set, splits = _prepared(cfg, horizon)
         train_set, val_set, test_set = splits
         if not test_set:
             raise DataError("test split is empty; nothing to compare")
         truth = np.stack([s.target for s in test_set])
         for variant in VARIANT_NAMES:
-            state = _train_and_save(cfg, horizon, net.n, graph_set,
+            state = _train_and_save(cfg, horizon, len(road_ids), graph_set,
                                     train_set, val_set, variant)
             preds, _ = model.predict_many(state, test_set, graph_set)
             rows.append({

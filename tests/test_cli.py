@@ -275,6 +275,102 @@ class TestStalePredictions:
         assert "grades_h1.csv" in capsys.readouterr().err
 
 
+def _drop(path):
+    path.unlink()
+
+
+def _asymmetric(path):
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[1] = repr(float(cells[1]) + 0.5)
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _other_road_ids(path):
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace("R000", "X000")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestGraphArtifacts:
+    """train and predict read the graphs that `graphs` wrote."""
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("name, tamper, extra", [
+        ("adjacency_weighted.csv", _drop, {}),
+        ("adjacency_pattern.csv", _asymmetric, {}),
+        ("adjacency_topological.csv", _other_road_ids, {}),
+        ("moran_report.json", None, {"train_size": 90}),
+        ("moran_report.json", None, {"alpha_speed": 0.5}),
+        ("moran_report.json", None, {"pattern_hours": 4}),
+    ], ids=["missing", "asymmetric", "other-road-ids", "stale-window",
+            "stale-alpha", "stale-pattern"])
+    def test_bad_graph_artifact_exits_2_naming_file(
+            self, pipeline, tmp_path, capsys, command, name, tamper, extra):
+        config, out = _copy_pipeline(pipeline, tmp_path, **extra)
+        if tamper is not None:
+            tamper(out / name)
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    def test_model_stages_build_no_graph(self, pipeline, tmp_path,
+                                         monkeypatch):
+        config, out = _copy_pipeline(pipeline, tmp_path)
+        _, _, fixture_out = pipeline
+        written = ("checkpoint_h1.json", "training_log_h1.json",
+                   "predictions_h1.csv", "attention_h1.json",
+                   "metrics_h1.json", "mae_series_h1.csv")
+        for name in written:
+            (out / name).unlink()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("GraphSet.build called")
+
+        monkeypatch.setattr(GraphSet, "build", refuse)
+        for command in ("train", "predict", "evaluate"):
+            assert main([command, "--config", str(config)]) == 0, command
+        for name in written:
+            assert (out / name).read_bytes() == \
+                (fixture_out / name).read_bytes(), name
+
+
+def _set_json(path, payload):
+    path.write_text(json.dumps(payload))
+
+
+def _shape_off_by_one(path):
+    payload = json.loads(path.read_text())
+    payload["shape"][0] += 1
+    _set_json(path, payload)
+
+
+def _without_values(path):
+    payload = json.loads(path.read_text())
+    del payload["values"]
+    _set_json(path, payload)
+
+
+@pytest.mark.parametrize("command, name, tamper", [
+    ("predict", "checkpoint_h1.json",
+     lambda path: _set_json(path, {"format": "roadgrade-checkpoint",
+                                   "version": 2})),
+    ("predict", "checkpoint_h1.json", lambda path: _set_json(path, [1, 2])),
+    ("explain", "attention_h1.json", _shape_off_by_one),
+    ("explain", "attention_h1.json", lambda path: _set_json(path, [])),
+    ("explain", "attention_h1.json", _without_values),
+], ids=["checkpoint-no-config", "checkpoint-list", "attention-bad-shape",
+        "attention-list", "attention-no-values"])
+def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
+                                         name, tamper):
+    config, out = _copy_pipeline(pipeline, tmp_path)
+    tamper(out / name)
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("som_radius", 1.0), ("som_learn_rate", 0), ("learning_rate", 0),
     ("alpha_speed", 0), ("alpha_flow", 0), ("window_hours", 0),

@@ -110,8 +110,9 @@ class TestRoadNetwork:
             RoadNetwork(np.ones(3), ((0, 3),))
 
     def test_rejects_nonpositive_lengths(self):
-        with pytest.raises(ValueError):
-            RoadNetwork(np.array([1.0, 0.0]), ((0, 1),))
+        for bad in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                RoadNetwork(np.array([1.0, bad]), ((0, 1),))
 
     def test_edges_canonicalized(self):
         net = RoadNetwork(np.ones(3), ((2, 0), (0, 2), (1, 0)))
