@@ -29,6 +29,6 @@ from .model import (ModelConfig, ModelState, build_combinations,
                     train)
 from .optim import ParamSet, adam_step
 from .synth import generate_synthetic
-from .tensor import Tensor, concat, grad_check, log_softmax, softmax, stack
+from .tensor import Tensor, concat, grad_check, log_softmax, softmax
 
 __version__ = "0.1.0"

@@ -6,6 +6,10 @@ temporal self-attention pass, yielding one embedding per combination.  The
 stacked combinations go through a multi-head attention layer whose score
 tensor keeps a per-feature axis, then a fully connected head emits per-road
 grade logits trained with negative log likelihood.
+
+One forward covers a mini-batch: every operator takes a leading batch axis,
+and the four graphs (in GRAPH_KEYS order) share one stacked axis.  Only the
+resolutions, whose window widths differ, are a loop.
 """
 
 from __future__ import annotations
@@ -16,17 +20,17 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import ResolutionSample, SPEED, FLOW, read_json_object
+from .data import ResolutionSample, read_json_object
 from .errors import DataError, NumericError
 from .graphs import GraphSet, GRAPH_KEYS, GRAPH_LETTERS
 from .optim import ParamSet, adam_step
-from .tensor import Tensor, glorot_uniform, stack
+from .tensor import Tensor, concat, glorot_uniform
 
 RESOLUTION_KEYS = ("hour", "day", "week")
 RESOLUTION_LETTERS = {"hour": "h", "day": "d", "week": "w"}
 
 CHECKPOINT_FORMAT = "roadgrade-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -85,178 +89,175 @@ class ModelState:
 
 
 def init_state(config: ModelConfig, seed: int = 0) -> ModelState:
-    """Fresh parameters from a seeded generator, in a fixed name order."""
+    """Fresh parameters from a seeded generator, stacked per resolution.
+
+    Values are drawn one (resolution, graph) block at a time in canonical
+    order and then stacked along a graph axis, so a seed gives the same
+    numbers as drawing each per-graph matrix on its own.
+    """
     rng = np.random.default_rng([seed, 0])
-    params: dict[str, Tensor] = {}
-
-    def add(name: str, shape: tuple[int, ...]) -> None:
-        params[name] = Tensor(glorot_uniform(shape, rng), requires_grad=True)
-
     n, d = config.n_roads, config.hidden2
+    values: dict[str, np.ndarray] = {}
     for res in config.resolutions:
-        for g in GRAPH_KEYS:
-            add(f"gcn1/{res}/{g}", (config.window(res), config.hidden1))
-            add(f"gcn2/{res}/{g}", (config.hidden1, d))
-            add(f"fuse_speed/{res}/{g}", (n, d))
-            add(f"fuse_flow/{res}/{g}", (n, d))
-    add("attn/query", (n, n))
-    add("attn/key", (n, n))
-    add("attn/value", (n, n))
-    add("attn/output", (n, n))
-    add("head/weight", (config.n_combinations * d, config.n_grades))
-    params["head/bias"] = Tensor(np.zeros(config.n_grades),
-                                 requires_grad=True)
-    return ModelState(config=config, params=ParamSet(params), seed=seed)
+        drawn = [(glorot_uniform((config.window(res), config.hidden1), rng),
+                  glorot_uniform((config.hidden1, d), rng),
+                  glorot_uniform((n, d), rng), glorot_uniform((n, d), rng))
+                 for _ in GRAPH_KEYS]
+        gcn1, gcn2, speed, flow = (np.stack(per_graph)
+                                   for per_graph in zip(*drawn))
+        values[f"gcn1/{res}"] = gcn1                   # (graphs, w, hidden1)
+        values[f"gcn2/{res}"] = gcn2                   # (graphs, hidden1, d)
+        values[f"fuse/{res}"] = np.stack([speed, flow])  # (2, graphs, n, d)
+    for name in ("query", "key", "value", "output"):
+        values[f"attn/{name}"] = glorot_uniform((n, n), rng)
+    values["head/weight"] = glorot_uniform(
+        (config.n_combinations * d, config.n_grades), rng)
+    values["head/bias"] = np.zeros(config.n_grades)
+    params = ParamSet({name: Tensor(value) for name, value in values.items()})
+    return ModelState(config=config, params=params, seed=seed)
 
 
 # -- forward operators -----------------------------------------------------------
 
 
-def shared_gcn_layer(z_speed: Tensor, z_flow: Tensor, a_norm: Tensor,
-                     w: Tensor) -> tuple[Tensor, Tensor]:
-    """One graph convolution applying the same kernel to both channels."""
-    if z_speed.shape != z_flow.shape:
-        raise ValueError("channel shapes must match")
-    out_speed = (a_norm @ z_speed @ w).relu()
-    out_flow = (a_norm @ z_flow @ w).relu()
-    return out_speed, out_flow
+def shared_gcn_layer(z: Tensor, a_norm: Tensor, w: Tensor) -> Tensor:
+    """One graph convolution per graph, one kernel for both channels.
+
+    `z` is (batch, channels, graphs or 1, roads, f), `a_norm` the stacked
+    (graphs, roads, roads) adjacencies and `w` the (graphs, f, h) kernels;
+    the result is (batch, channels, graphs, roads, h).
+    """
+    return (a_norm @ z @ w).relu()
 
 
-def channel_fuse(z_speed: Tensor, z_flow: Tensor, w_speed: Tensor,
-                 w_flow: Tensor) -> Tensor:
-    """Elementwise-weighted sum of the two channel embeddings."""
-    shapes = {z_speed.shape, z_flow.shape, w_speed.shape, w_flow.shape}
-    if len(shapes) != 1:
-        raise ValueError(f"all fusion operands must share a shape: {shapes}")
-    return w_speed * z_speed + w_flow * z_flow
+def channel_fuse(z: Tensor, w: Tensor) -> Tensor:
+    """Elementwise-weighted sum over the channel axis.
+
+    `z` is (batch, channels, graphs, roads, d) and `w` the matching
+    (channels, graphs, roads, d) weights.
+    """
+    if z.shape[1:] != w.shape:
+        raise ValueError(f"fusion weights {w.shape} do not match the "
+                         f"embeddings {z.shape}")
+    return (w * z).sum(axis=1)
 
 
 def temporal_attention(x: Tensor) -> Tensor:
-    """Self-attention over the feature columns of a (roads, d) embedding.
+    """Self-attention over the feature columns of (..., roads, d) embeddings.
 
     The embedding is transposed so its d columns form the sequence and each
     element is described by the road axis; scores are scaled by sqrt(roads).
     """
-    n_roads = x.shape[0]
-    seq = x.T                                    # (d, roads)
-    scores = (seq @ seq.T) / math.sqrt(n_roads)
+    n_roads = x.shape[-2]
+    swap = (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2)
+    seq = x.transpose(swap)                      # (..., d, roads)
+    scores = (seq @ x) / math.sqrt(n_roads)
     weights = scores.softmax(axis=-1)
-    return (weights @ seq).T
+    return (weights @ seq).transpose(swap)
 
 
-def build_combinations(sample: ResolutionSample, graphs: GraphSet,
-                       state: ModelState) -> list[Tensor]:
-    """The (resolution x graph) embeddings in canonical order.
+def build_combinations(samples: list[ResolutionSample], graphs: GraphSet,
+                       state: ModelState) -> Tensor:
+    """The (resolution x graph) embeddings, (batch, comb, roads, d).
 
     Order is resolution-major (hour, day, week) with graphs cycling
     (topological, weighted, pattern, attribute) within each resolution.
     """
-    cfg = state.config
     params = state.params
+    a_norm = Tensor(np.stack([graphs.norm(g) for g in GRAPH_KEYS]))
     out: list[Tensor] = []
-    for res in cfg.resolutions:
-        history = sample.history(res)
-        z_speed = Tensor(history[:, :, SPEED])
-        z_flow = Tensor(history[:, :, FLOW])
-        for g in GRAPH_KEYS:
-            a_norm = Tensor(graphs.norm(g))
-            s1, f1 = shared_gcn_layer(z_speed, z_flow, a_norm,
-                                      params[f"gcn1/{res}/{g}"])
-            s2, f2 = shared_gcn_layer(s1, f1, a_norm,
-                                      params[f"gcn2/{res}/{g}"])
-            fused = channel_fuse(s2, f2, params[f"fuse_speed/{res}/{g}"],
-                                 params[f"fuse_flow/{res}/{g}"])
-            out.append(temporal_attention(fused))
-    return out
+    for res in state.config.resolutions:
+        history = np.stack([s.history(res) for s in samples])  # (B, n, w, 2)
+        z = Tensor(np.moveaxis(history, -1, 1)[:, :, None])   # (B, 2, 1, n, w)
+        h1 = shared_gcn_layer(z, a_norm, params[f"gcn1/{res}"])
+        h2 = shared_gcn_layer(h1, a_norm, params[f"gcn2/{res}"])
+        out.append(temporal_attention(channel_fuse(h2, params[f"fuse/{res}"])))
+    return concat(out, axis=1)
 
 
 def highdim_attention(x: Tensor, state: ModelState
-                      ) -> tuple[Tensor, Tensor]:
+                      ) -> tuple[Tensor, np.ndarray]:
     """Multi-head attention over stacked combinations with per-feature scores.
 
-    `x` has shape (combinations, roads, d).  The road axis is mapped linearly
-    and split into contiguous head blocks; scores are per-feature dot
-    products along the block axis, normalized over the attended-combination
-    axis, so the score tensor has shape (heads, comb, comb, d).
+    `x` has shape (batch, combinations, roads, d).  The road axis is mapped
+    linearly and split into contiguous head blocks; scores are per-feature
+    dot products along the block axis, normalized over the
+    attended-combination axis, so the returned scores have shape
+    (batch, heads, comb, comb, d).
     """
-    tp, n, d = x.shape
+    b, tp, n, d = x.shape
     heads = state.config.heads
     if n % heads != 0:
         raise ValueError(f"head count {heads} must divide road count {n}")
     block = n // heads
     params = state.params
 
-    def project_and_split(name: str) -> Tensor:
-        projected = params[name] @ x             # (tp, n, d)
-        return projected.reshape(tp, heads, block, d).transpose((1, 0, 2, 3))
+    def project_and_split(name: str, axes: tuple[int, ...]) -> Tensor:
+        projected = params[name] @ x             # (b, tp, n, d)
+        return projected.reshape(b, tp, heads, block, d).transpose(axes)
 
-    q = project_and_split("attn/query")
-    k = project_and_split("attn/key")
-    v = project_and_split("attn/value")
-    scores = (q.reshape(heads, tp, 1, block, d)
-              * k.reshape(heads, 1, tp, block, d)).sum(axis=3)
-    scores = scores / math.sqrt(block)
-    attn = scores.softmax(axis=2)                # (heads, tp, tp, d)
-    mixed = (attn.reshape(heads, tp, tp, 1, d)
-             * v.reshape(heads, 1, tp, block, d)).sum(axis=2)
-    merged = mixed.transpose((1, 0, 2, 3)).reshape(tp, n, d)
-    fused = params["attn/output"] @ merged
-    return fused, attn
+    q = project_and_split("attn/query", (0, 2, 4, 1, 3))  # (b, h, d, tp, blk)
+    k = project_and_split("attn/key", (0, 2, 4, 3, 1))    # (b, h, d, blk, tp)
+    v = project_and_split("attn/value", (0, 2, 4, 1, 3))  # (b, h, d, tp, blk)
+    attn = ((q @ k) / math.sqrt(block)).softmax(axis=-1)  # (b, h, d, tp, tp)
+    mixed = (attn @ v).transpose((0, 3, 1, 4, 2)).reshape(b, tp, n, d)
+    fused = params["attn/output"] @ mixed
+    return fused, np.moveaxis(attn.data, 2, -1)
 
 
 def fc_head(x_fused: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Road-major flattening followed by one rectified affine layer."""
-    tp, n, d = x_fused.shape
-    flat = x_fused.transpose((1, 0, 2)).reshape(n, tp * d)
+    batch, tp, n, d = x_fused.shape
+    flat = x_fused.transpose((0, 2, 1, 3)).reshape(batch, n, tp * d)
     return (flat @ w + b).relu()
 
 
 def nll_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log likelihood of 1-based grade targets."""
-    n, n_classes = logits.shape
+    """Negative log likelihood of 1-based grade targets, mean over roads.
+
+    `logits` is (..., roads, grades) and `targets` (..., roads); the mean
+    runs over every leading axis too, e.g. the samples of a batch.
+    """
+    n_classes = logits.shape[-1]
     targets = np.asarray(targets)
-    if targets.shape != (n,):
+    if targets.shape != logits.shape[:-1]:
         raise ValueError("one target grade per road required")
     if targets.min() < 1 or targets.max() > n_classes:
         raise ValueError(f"targets must lie in [1, {n_classes}]")
     log_probs = logits.log_softmax(axis=-1)
-    mask = np.zeros((n, n_classes))
-    mask[np.arange(n), targets - 1] = 1.0
-    return -(log_probs * mask).sum() / n
+    mask = (targets[..., None] == np.arange(1, n_classes + 1)).astype(float)
+    return -(log_probs * mask).sum() / targets.size
 
 
-@dataclass
-class ForwardPass:
-    logits: Tensor       # (roads, grades)
-    attention: Tensor    # (heads, comb, comb, d)
-
-
-def forward(state: ModelState, sample: ResolutionSample,
-            graphs: GraphSet) -> ForwardPass:
-    combinations = build_combinations(sample, graphs, state)
-    fused, attn = highdim_attention(stack(combinations, axis=0), state)
+def forward(state: ModelState, samples: list[ResolutionSample],
+            graphs: GraphSet) -> tuple[Tensor, np.ndarray]:
+    """Logits (batch, roads, grades) and attention (batch, heads, comb,
+    comb, d) for a batch of samples."""
+    combinations = build_combinations(samples, graphs, state)
+    fused, attn = highdim_attention(combinations, state)
     logits = fc_head(fused, state.params["head/weight"],
                      state.params["head/bias"])
-    return ForwardPass(logits=logits, attention=attn)
+    return logits, attn
 
 
 def predict_many(state: ModelState, samples: list[ResolutionSample],
                  graphs: GraphSet) -> tuple[np.ndarray, np.ndarray]:
     """Grades (samples, roads) and the mean attention tensor.
 
-    Each road's grade is the argmax of its logits, ties to the lowest grade.
+    Runs `batch_size` samples per forward.  Each road's grade is the argmax
+    of its logits, ties to the lowest grade.
     """
     if not samples:
         raise ValueError("no samples to predict")
+    step = state.config.batch_size
     preds = []
-    attn_total = None
-    for sample in samples:
-        run = forward(state, sample, graphs)
-        preds.append(np.argmax(run.logits.data, axis=1) + 1)
-        attn = run.attention.data
-        attn_total = attn if attn_total is None else attn_total + attn
-        del run  # free this sample's autodiff graph before the next forward
-    return np.stack(preds), attn_total / len(samples)
+    attn_total = 0.0
+    for lo in range(0, len(samples), step):
+        logits, attn = forward(state, samples[lo:lo + step], graphs)
+        preds.append(np.argmax(logits.data, axis=-1) + 1)
+        attn_total = attn_total + attn.sum(axis=0)
+        del logits  # free this chunk's autodiff graph before the next forward
+    return np.concatenate(preds), attn_total / len(samples)
 
 
 # -- training ----------------------------------------------------------------------
@@ -284,22 +285,18 @@ def train(state: ModelState, train_samples: list[ResolutionSample],
         order = rng.permutation(len(train_samples))
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
+            batch = [train_samples[i] for i in order[lo:lo + cfg.batch_size]]
             state.params.zero_grad()
-            total = None
-            for i in batch:
-                sample = train_samples[i]
-                loss = nll_loss(forward(state, sample, graphs).logits,
-                                sample.target)
-                total = loss if total is None else total + loss
-            total = total / len(batch)
-            if not math.isfinite(total.item()):
+            loss = nll_loss(forward(state, batch, graphs)[0],
+                            np.stack([s.target for s in batch]))
+            if not math.isfinite(loss.item()):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch starting {lo}")
-            total.backward()
+            loss.backward()
             adam_step(state.params, state.params.gradients(),
                       lr=cfg.learning_rate)
-            epoch_loss += total.item() * len(batch)
+            epoch_loss += loss.item() * len(batch)
+            del loss  # free this batch's autodiff graph before the next one
         epoch_loss /= len(order)
         val_acc = None
         if val_samples:

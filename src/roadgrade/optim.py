@@ -50,6 +50,9 @@ class ParamSet:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        if values.keys() != self.params.keys():
+            raise ValueError("parameter names differ: "
+                             f"{sorted(values.keys() ^ self.params.keys())}")
         for name, p in self.params.items():
             incoming = values[name]
             if incoming.shape != p.data.shape:

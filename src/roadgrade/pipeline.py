@@ -197,11 +197,10 @@ def _prepared(cfg: RunConfig, horizon: int):
     _, series, road_ids = load_inputs(cfg)
     window = fit_hours(cfg, series.t, horizon)
     normalized = data.minmax_normalize(series, window)
-    grade_values, start = _read_grades(
-        _require(cfg.out_path(grades_name(horizon)), "grade file"),
-        road_ids, cfg.n_grades)
+    grade_path = _require(cfg.out_path(grades_name(horizon)), "grade file")
+    grade_values, start = _read_grades(grade_path, road_ids, cfg.n_grades)
     if start != series.start or grade_values.shape[1] != series.t:
-        raise DataError("grade file does not cover the measurement series")
+        raise DataError(f"{grade_path} does not cover the measurement series")
     graph_set = _read_graphs(cfg, road_ids, window)
     samples = data.enumerate_samples(normalized, grade_values, horizon,
                                      cfg.windows)

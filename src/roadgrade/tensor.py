@@ -142,8 +142,10 @@ class Tensor:
         a, b = self, other
 
         def backward(grads, g):
-            _accumulate(grads, a, _unbroadcast(g * b.data, a.shape))
-            _accumulate(grads, b, _unbroadcast(g * a.data, b.shape))
+            if a.requires_grad:
+                _accumulate(grads, a, _unbroadcast(g * b.data, a.shape))
+            if b.requires_grad:
+                _accumulate(grads, b, _unbroadcast(g * a.data, b.shape))
 
         return Tensor._node(self.data * other.data, (a, b), backward)
 
@@ -158,10 +160,12 @@ class Tensor:
         out_data = a.data @ b.data
 
         def backward(grads, g):
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            _accumulate(grads, a, _unbroadcast(ga, a.shape))
-            _accumulate(grads, b, _unbroadcast(gb, b.shape))
+            if a.requires_grad:
+                ga = g @ np.swapaxes(b.data, -1, -2)
+                _accumulate(grads, a, _unbroadcast(ga, a.shape))
+            if b.requires_grad:
+                gb = np.swapaxes(a.data, -1, -2) @ g
+                _accumulate(grads, b, _unbroadcast(gb, b.shape))
 
         return Tensor._node(out_data, (a, b), backward)
 
@@ -280,15 +284,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             _accumulate(grads, tensor, g[tuple(index)])
 
     return Tensor._node(out_data, parts, backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    expanded = []
-    for t in tensors:
-        shape = list(t.shape)
-        shape.insert(axis if axis >= 0 else t.ndim + 1 + axis, 1)
-        expanded.append(t.reshape(shape))
-    return concat(expanded, axis=axis)
 
 
 # -- plain ndarray softmax primitives -----------------------------------------

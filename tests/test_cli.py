@@ -11,10 +11,11 @@ import yaml
 from roadgrade.cli import main
 from roadgrade.data import enumerate_samples, minmax_normalize, \
     read_grades_csv, read_measurements_csv, split, write_measurements_csv
-from roadgrade.graphs import GraphSet, read_adjacency_csv, \
+from roadgrade.graphs import GRAPH_KEYS, GraphSet, read_adjacency_csv, \
     read_network_csv, write_network_csv, RoadNetwork
 from roadgrade.metrics import accuracy, quadratic_weighted_kappa
-from roadgrade.model import load_checkpoint, predict_many
+from roadgrade.model import CHECKPOINT_VERSION, load_checkpoint, \
+    predict_many
 from roadgrade.pipeline import fit_hours, load_config
 from roadgrade.synth import DEFAULT_START
 from roadgrade.data import TrafficSeries
@@ -252,6 +253,13 @@ def _drop_fifth_test_hour(path):
                               if line.split(",")[1] != hour) + "\n")
 
 
+def _drop_last_hour(path):
+    lines = path.read_text().splitlines()
+    last = max(line.split(",")[1] for line in lines[1:])
+    path.write_text("\n".join(line for line in lines
+                              if line.split(",")[1] != last) + "\n")
+
+
 class TestStalePredictions:
     @pytest.mark.parametrize("tamper, extra", [
         (_grade_nine, {}),
@@ -273,6 +281,14 @@ class TestStalePredictions:
         _grade_nine(out / "grades_h1.csv")
         assert main(["train", "--config", str(config)]) == 2
         assert "grades_h1.csv" in capsys.readouterr().err
+
+    def test_train_rejects_grade_file_shorter_than_series(
+            self, pipeline, tmp_path, capsys):
+        config, out = _copy_pipeline(pipeline, tmp_path)
+        _drop_last_hour(out / "grades_h1.csv")
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "grades_h1.csv" in err and "Traceback" not in err
 
 
 def _drop(path):
@@ -352,15 +368,41 @@ def _without_values(path):
     _set_json(path, payload)
 
 
+def _per_graph_kernels(path):
+    """Split each stacked GCN kernel into the per-graph entries of the
+    version-2 layout, keeping the version-3 header."""
+    payload = json.loads(path.read_text())
+    params = payload["params"]
+    for name in [n for n in params if n.startswith(("gcn1/", "gcn2/"))]:
+        entry = params.pop(name)
+        shape = entry["shape"][1:]
+        size = int(np.prod(shape))
+        for i, key in enumerate(GRAPH_KEYS):
+            params[f"{name}/{key}"] = {
+                "shape": shape,
+                "values": entry["values"][i * size:(i + 1) * size]}
+    _set_json(path, payload)
+
+
+def _extra_parameter(path):
+    payload = json.loads(path.read_text())
+    payload["params"]["unused/weight"] = {"shape": [1], "values": [0.0]}
+    _set_json(path, payload)
+
+
 @pytest.mark.parametrize("command, name, tamper", [
     ("predict", "checkpoint_h1.json",
      lambda path: _set_json(path, {"format": "roadgrade-checkpoint",
-                                   "version": 2})),
+                                   "version": CHECKPOINT_VERSION})),
     ("predict", "checkpoint_h1.json", lambda path: _set_json(path, [1, 2])),
+    ("predict", "checkpoint_h1.json", _per_graph_kernels),
+    ("predict", "checkpoint_h1.json", _extra_parameter),
     ("explain", "attention_h1.json", _shape_off_by_one),
     ("explain", "attention_h1.json", lambda path: _set_json(path, [])),
     ("explain", "attention_h1.json", _without_values),
-], ids=["checkpoint-no-config", "checkpoint-list", "attention-bad-shape",
+], ids=["checkpoint-no-config", "checkpoint-list",
+        "checkpoint-per-graph-layout", "checkpoint-extra-parameter",
+        "attention-bad-shape",
         "attention-list", "attention-no-values"])
 def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
                                          name, tamper):

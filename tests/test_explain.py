@@ -127,8 +127,8 @@ class TestDecouple:
 
 class TestReports:
     def test_report_from_live_forward(self, toy):
-        run = forward(toy.state, toy.sample(), toy.graphs)
-        record = AttentionRecord(run.attention.data,
+        _, attention = forward(toy.state, [toy.sample()], toy.graphs)
+        record = AttentionRecord(attention[0],
                                  tuple(toy.config.combination_labels()), 1)
         report = build_report(record)
         assert report.heatmap.sum() == pytest.approx(1.0, abs=1e-9)

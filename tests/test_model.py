@@ -19,73 +19,86 @@ from roadgrade.model import (build_combinations, channel_fuse,
 from roadgrade.tensor import Tensor, grad_check, softmax
 
 
+def _channels(z_speed, z_flow):
+    """(1, 2, 1, roads, f): one sample, both channels, shared by all graphs."""
+    return Tensor(np.stack([z_speed, z_flow])[None, :, None])
+
+
+def _fuse(z_speed, z_flow, w_speed, w_flow):
+    """channel_fuse on one sample of one graph's (roads, d) arrays."""
+    out = channel_fuse(Tensor(np.stack([z_speed, z_flow])[None]),
+                       Tensor(np.stack([w_speed, w_flow])))
+    return out.data[0]
+
+
 class TestSharedGcnLayer:
     def test_identity_pass_through(self):
-        x = Tensor(np.abs(np.random.default_rng(0).normal(size=(4, 3))))
-        eye = Tensor(np.eye(4))
-        w = Tensor(np.eye(3))
-        out_s, out_f = shared_gcn_layer(x, x, eye, w)
-        np.testing.assert_array_equal(out_s.data, x.data)
-        np.testing.assert_array_equal(out_f.data, x.data)
+        x = np.abs(np.random.default_rng(0).normal(size=(4, 3)))
+        eye = Tensor(np.eye(4)[None])
+        w = Tensor(np.eye(3)[None])
+        out = shared_gcn_layer(_channels(x, x), eye, w)
+        np.testing.assert_array_equal(out.data[0, 0, 0], x)
+        np.testing.assert_array_equal(out.data[0, 1, 0], x)
 
     def test_negative_preactivation_zeroed(self):
-        x = Tensor(np.ones((3, 2)))
-        a = Tensor(np.eye(3))
-        w = Tensor(-np.ones((2, 2)))
-        out_s, _ = shared_gcn_layer(x, x, a, w)
-        np.testing.assert_array_equal(out_s.data, np.zeros((3, 2)))
+        x = np.ones((3, 2))
+        a = Tensor(np.eye(3)[None])
+        w = Tensor(-np.ones((1, 2, 2)))
+        out = shared_gcn_layer(_channels(x, x), a, w)
+        np.testing.assert_array_equal(out.data[0, 0, 0], np.zeros((3, 2)))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(1)
-        a = normalize_adjacency(random_symmetric(rng, 4))
+        a = np.stack([normalize_adjacency(random_symmetric(rng, 4))
+                      for _ in range(2)])
         x_s = rng.normal(size=(4, 5))
         x_f = rng.normal(size=(4, 5))
-        w = rng.normal(size=(5, 2))
-        out_s, out_f = shared_gcn_layer(Tensor(x_s), Tensor(x_f),
-                                        Tensor(a), Tensor(w))
-        np.testing.assert_allclose(out_s.data, np.maximum(a @ x_s @ w, 0.0),
-                                   atol=1e-12)
-        np.testing.assert_allclose(out_f.data, np.maximum(a @ x_f @ w, 0.0),
-                                   atol=1e-12)
+        w = rng.normal(size=(2, 5, 2))
+        out = shared_gcn_layer(_channels(x_s, x_f), Tensor(a), Tensor(w))
+        assert out.shape == (1, 2, 2, 4, 2)
+        for g in range(2):
+            for c, x in enumerate((x_s, x_f)):
+                np.testing.assert_allclose(
+                    out.data[0, c, g], np.maximum(a[g] @ x @ w[g], 0.0),
+                    atol=1e-12)
 
     def test_same_kernel_for_both_channels(self):
         rng = np.random.default_rng(2)
-        a = Tensor(np.eye(3))
-        w = Tensor(rng.normal(size=(2, 2)))
-        x = Tensor(np.abs(rng.normal(size=(3, 2))))
-        out_s, out_f = shared_gcn_layer(x, x, a, w)
-        np.testing.assert_array_equal(out_s.data, out_f.data)
+        a = Tensor(np.eye(3)[None])
+        w = Tensor(rng.normal(size=(1, 2, 2)))
+        x = np.abs(rng.normal(size=(3, 2)))
+        out = shared_gcn_layer(_channels(x, x), a, w)
+        np.testing.assert_array_equal(out.data[0, 0], out.data[0, 1])
 
 
 class TestChannelFuse:
     def test_speed_only(self):
         rng = np.random.default_rng(3)
-        z_s = Tensor(rng.normal(size=(3, 2)))
-        z_f = Tensor(rng.normal(size=(3, 2)))
-        out = channel_fuse(z_s, z_f, Tensor(np.ones((3, 2))),
-                           Tensor(np.zeros((3, 2))))
-        np.testing.assert_array_equal(out.data, z_s.data)
+        z_s = rng.normal(size=(3, 2))
+        z_f = rng.normal(size=(3, 2))
+        out = _fuse(z_s, z_f, np.ones((3, 2)), np.zeros((3, 2)))
+        np.testing.assert_array_equal(out, z_s)
 
     def test_equal_mix_of_equal_inputs(self):
-        z = Tensor(np.arange(6.0).reshape(3, 2))
-        half = Tensor(np.full((3, 2), 0.5))
-        out = channel_fuse(z, z, half, half)
-        np.testing.assert_allclose(out.data, z.data, atol=1e-15)
+        z = np.arange(6.0).reshape(3, 2)
+        half = np.full((3, 2), 0.5)
+        out = _fuse(z, z, half, half)
+        np.testing.assert_allclose(out, z, atol=1e-15)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(4)
         arrays = [rng.normal(size=(2, 3)) for _ in range(4)]
-        out = channel_fuse(*(Tensor(a) for a in arrays))
+        out = _fuse(*arrays)
         z_s, z_f, w_s, w_f = arrays
         for i in range(2):
             for j in range(3):
                 expected = w_s[i, j] * z_s[i, j] + w_f[i, j] * z_f[i, j]
-                assert out.data[i, j] == pytest.approx(expected)
+                assert out[i, j] == pytest.approx(expected)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            channel_fuse(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))),
-                         Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+            channel_fuse(Tensor(np.zeros((1, 2, 2, 2))),
+                         Tensor(np.zeros((2, 2, 3))))
 
 
 class TestTemporalAttention:
@@ -113,10 +126,9 @@ class TestTemporalAttention:
 
 class TestBuildCombinations:
     def test_twelve_uniform_shapes(self, toy):
-        combos = build_combinations(toy.sample(), toy.graphs, toy.state)
-        assert len(combos) == 12
+        combos = build_combinations([toy.sample()], toy.graphs, toy.state)
         n, d = toy.config.n_roads, toy.config.hidden2
-        assert all(c.shape == (n, d) for c in combos)
+        assert combos.shape == (1, 12, n, d)
 
     def test_labels_follow_canonical_order(self, toy):
         assert toy.config.combination_labels() == [
@@ -126,43 +138,41 @@ class TestBuildCombinations:
 
     def test_zeroing_pattern_graph_touches_only_pattern_combos(self, toy):
         sample = toy.sample()
-        base = build_combinations(sample, toy.graphs, toy.state)
+        base = build_combinations([sample], toy.graphs, toy.state).data[0]
         no_pattern = GraphSet(topological=toy.graphs.topological,
                               weighted=toy.graphs.weighted,
                               pattern=np.zeros_like(toy.graphs.pattern),
                               attribute=toy.graphs.attribute)
-        changed = build_combinations(sample, no_pattern, toy.state)
+        changed = build_combinations([sample], no_pattern, toy.state).data[0]
         for idx, label in enumerate(toy.config.combination_labels()):
-            same = np.array_equal(base[idx].data, changed[idx].data)
+            same = np.array_equal(base[idx], changed[idx])
             assert same == (not label.startswith("p_"))
 
     def test_stable_across_runs(self, toy):
         sample = toy.sample()
-        first = build_combinations(sample, toy.graphs, toy.state)
-        second = build_combinations(sample, toy.graphs, toy.state)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.data, b.data)
+        first = build_combinations([sample], toy.graphs, toy.state)
+        second = build_combinations([sample], toy.graphs, toy.state)
+        assert np.array_equal(first.data, second.data)
 
 
 class TestHighdimAttention:
     def test_single_combination_identity(self):
         setup = ToySetup(seed=1)
         n = setup.config.n_roads
-        x = Tensor(setup.rng.normal(size=(1, n, 3)))
+        x = Tensor(setup.rng.normal(size=(1, 1, n, 3)))
         for name in ("attn/value", "attn/output"):
             setup.state.params[name].data = np.eye(n)
         out, attn = highdim_attention(x, setup.state)
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
-        np.testing.assert_allclose(attn.data, 1.0, atol=1e-12)
+        np.testing.assert_allclose(attn, 1.0, atol=1e-12)
 
     def test_score_tensor_shape_and_normalization(self, toy):
-        run = forward(toy.state, toy.sample(), toy.graphs)
+        _, attn = forward(toy.state, [toy.sample()], toy.graphs)
         heads = toy.config.heads
         tp, d = toy.config.n_combinations, toy.config.hidden2
-        assert run.attention.shape == (heads, tp, tp, d)
-        sums = run.attention.data.sum(axis=2)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-        assert np.all(run.attention.data >= 0)
+        assert attn.shape == (1, heads, tp, tp, d)
+        np.testing.assert_allclose(attn.sum(axis=3), 1.0, atol=1e-9)
+        assert np.all(attn >= 0)
 
     def test_two_combination_hand_oracle(self):
         # 2 roads, 2 combinations, one head, one feature: scalar recompute
@@ -175,7 +185,7 @@ class TestHighdimAttention:
         state.params["attn/value"].data = wv
         state.params["attn/output"].data = wo
         x = rng.normal(size=(2, 2, 1))
-        out, attn = highdim_attention(Tensor(x), state)
+        out, attn = highdim_attention(Tensor(x[None]), state)
 
         q = np.stack([wq @ x[t] for t in range(2)])
         k = np.stack([wk @ x[t] for t in range(2)])
@@ -187,10 +197,11 @@ class TestHighdimAttention:
                                    for r in range(2)) / math.sqrt(2)
         for t in range(2):
             weights = softmax(scores[t])
-            np.testing.assert_allclose(attn.data[0, t, :, 0], weights,
+            np.testing.assert_allclose(attn[0, 0, t, :, 0], weights,
                                        atol=1e-12)
             head = weights[0] * v[0] + weights[1] * v[1]
-            np.testing.assert_allclose(out.data[t], wo @ head, atol=1e-12)
+            np.testing.assert_allclose(out.data[0, t], wo @ head,
+                                       atol=1e-12)
 
     def test_head_count_must_divide_roads(self):
         with pytest.raises(ValueError):
@@ -199,9 +210,9 @@ class TestHighdimAttention:
 
 class TestFcHead:
     def test_zero_parameters_give_uniform_distribution(self):
-        x = Tensor(np.random.default_rng(7).normal(size=(3, 4, 2)))
+        x = Tensor(np.random.default_rng(7).normal(size=(1, 3, 4, 2)))
         logits = fc_head(x, Tensor(np.zeros((6, 5))), Tensor(np.zeros(5)))
-        np.testing.assert_array_equal(logits.data, np.zeros((4, 5)))
+        np.testing.assert_array_equal(logits.data, np.zeros((1, 4, 5)))
         np.testing.assert_allclose(softmax(logits.data, axis=-1), 0.2,
                                    atol=1e-12)
 
@@ -210,9 +221,9 @@ class TestFcHead:
         x = rng.normal(size=(2, 3, 2))
         w = np.zeros((4, 3))
         w[1, 0] = 1.0  # class 0 reads flattened coordinate 1
-        logits = fc_head(Tensor(x), Tensor(w), Tensor(np.zeros(3)))
+        logits = fc_head(Tensor(x[None]), Tensor(w), Tensor(np.zeros(3)))
         flat = np.transpose(x, (1, 0, 2)).reshape(3, 4)
-        np.testing.assert_allclose(logits.data[:, 0],
+        np.testing.assert_allclose(logits.data[0, :, 0],
                                    np.maximum(flat[:, 1], 0.0), atol=1e-12)
 
     def test_matches_matrix_oracle(self):
@@ -220,9 +231,9 @@ class TestFcHead:
         x = rng.normal(size=(3, 2, 4))
         w = rng.normal(size=(12, 5))
         b = rng.normal(size=5)
-        logits = fc_head(Tensor(x), Tensor(w), Tensor(b))
+        logits = fc_head(Tensor(x[None]), Tensor(w), Tensor(b))
         flat = np.transpose(x, (1, 0, 2)).reshape(2, 12)
-        np.testing.assert_allclose(logits.data,
+        np.testing.assert_allclose(logits.data[0],
                                    np.maximum(flat @ w + b, 0.0), atol=1e-12)
 
 
@@ -265,19 +276,24 @@ class TestPredict:
     def test_argmax_shift_invariance(self, toy):
         sample = toy.sample()
         preds, _ = predict_many(toy.state, [sample], toy.graphs)
-        logits = forward(toy.state, sample, toy.graphs).logits.data
+        logits = forward(toy.state, [sample], toy.graphs)[0].data[0]
         shifted = logits + np.linspace(-3, 3, logits.shape[0])[:, None]
         np.testing.assert_array_equal(np.argmax(shifted, axis=1) + 1,
                                       preds[0])
 
     def test_predict_many_shapes_and_mean_attention(self, toy):
-        samples = [toy.sample() for _ in range(3)]
+        # 5 samples at batch size 4: one full chunk and one of a single sample
+        assert toy.config.batch_size == 4
+        samples = [toy.sample() for _ in range(5)]
         preds, mean_attn = predict_many(toy.state, samples, toy.graphs)
-        assert preds.shape == (3, toy.config.n_roads)
-        attentions = [forward(toy.state, s, toy.graphs).attention.data
-                      for s in samples]
-        np.testing.assert_allclose(mean_attn, np.mean(attentions, axis=0),
-                                   atol=1e-12)
+        assert preds.shape == (5, toy.config.n_roads)
+        singles = [forward(toy.state, [s], toy.graphs) for s in samples]
+        np.testing.assert_array_equal(
+            preds, [np.argmax(logits.data[0], axis=-1) + 1
+                    for logits, _ in singles])
+        np.testing.assert_allclose(
+            mean_attn, np.mean([attn[0] for _, attn in singles], axis=0),
+            atol=1e-12)
         np.testing.assert_allclose(mean_attn.sum(axis=2), 1.0, atol=1e-9)
 
 
@@ -285,15 +301,49 @@ class TestGradients:
     def test_full_model_gradcheck_small(self):
         setup = ToySetup(seed=2, n=4, grades=3, hidden=2, heads=2,
                          windows=(4, 2, 2))
-        sample = setup.sample()
+        batch = [setup.sample() for _ in range(2)]
+        targets = np.stack([s.target for s in batch])
 
         def loss_fn(_):
-            run = forward(setup.state, sample, setup.graphs)
-            return nll_loss(run.logits, sample.target)
+            logits, _ = forward(setup.state, batch, setup.graphs)
+            return nll_loss(logits, targets)
 
         for name in setup.state.params.names():
             err = grad_check(loss_fn, setup.state.params[name], eps=1e-6)
             assert err < 1e-4, f"gradient mismatch for {name}: {err}"
+
+
+class TestBatching:
+    """One forward over a batch equals one forward per sample."""
+
+    def test_sample_output_independent_of_its_batch(self, toy):
+        samples = [toy.sample() for _ in range(5)]
+        logits, attn = forward(toy.state, samples, toy.graphs)
+        assert logits.shape == (5, toy.config.n_roads, toy.config.n_grades)
+        for i, sample in enumerate(samples):
+            single_logits, single_attn = forward(toy.state, [sample],
+                                                 toy.graphs)
+            np.testing.assert_allclose(logits.data[i], single_logits.data[0],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(attn[i], single_attn[0], rtol=0,
+                                       atol=1e-12)
+
+    def test_batch_gradient_is_mean_of_sample_gradients(self, toy):
+        samples = [toy.sample() for _ in range(4)]
+        params = toy.state.params
+
+        def gradients(batch):
+            params.zero_grad()
+            logits, _ = forward(toy.state, batch, toy.graphs)
+            nll_loss(logits, np.stack([s.target for s in batch])).backward()
+            return params.gradients()
+
+        batch_grads = gradients(samples)
+        singles = [gradients([s]) for s in samples]
+        for name in params.names():
+            mean = np.mean([g[name] for g in singles], axis=0)
+            np.testing.assert_allclose(batch_grads[name], mean, rtol=0,
+                                       atol=1e-12, err_msg=name)
 
 
 class TestReceptiveField:
@@ -307,16 +357,15 @@ class TestReceptiveField:
             w = np.zeros((n, n))
             for a, b in net.edges:
                 w[a, b] = w[b, a] = rng.uniform(0.5, 1.5)
-            a_norm = Tensor(normalize_adjacency(w))
+            a_norm = Tensor(normalize_adjacency(w)[None])
             x = rng.uniform(0.5, 1.0, size=(n, 3))
-            ones1 = Tensor(np.ones((3, 4)))
-            ones2 = Tensor(np.ones((4, 4)))
+            ones1 = Tensor(np.ones((1, 3, 4)))
+            ones2 = Tensor(np.ones((1, 4, 4)))
 
             def stack_output(values):
-                s1, f1 = shared_gcn_layer(Tensor(values), Tensor(values),
-                                          a_norm, ones1)
-                s2, _ = shared_gcn_layer(s1, f1, a_norm, ones2)
-                return s2.data
+                h1 = shared_gcn_layer(_channels(values, values), a_norm,
+                                      ones1)
+                return shared_gcn_layer(h1, a_norm, ones2).data[0, 0, 0]
 
             base = stack_output(x)
             source = int(rng.integers(0, n))
@@ -334,23 +383,24 @@ class TestAblationTopology:
             hourly=sample.hourly, daily=np.zeros_like(sample.daily),
             weekly=np.zeros_like(sample.weekly), target=sample.target,
             tau=sample.tau, horizon=sample.horizon)
-        base = build_combinations(sample, toy.graphs, toy.state)
-        masked = build_combinations(hourly_only, toy.graphs, toy.state)
+        base = build_combinations([sample], toy.graphs, toy.state).data[0]
+        masked = build_combinations([hourly_only], toy.graphs,
+                                    toy.state).data[0]
         for idx, label in enumerate(toy.config.combination_labels()):
             if label.endswith("_h"):
-                np.testing.assert_array_equal(masked[idx].data,
-                                              base[idx].data)
+                np.testing.assert_array_equal(masked[idx], base[idx])
             else:
-                np.testing.assert_array_equal(masked[idx].data,
-                                              np.zeros_like(base[idx].data))
+                np.testing.assert_array_equal(masked[idx],
+                                              np.zeros_like(base[idx]))
 
     def test_single_resolution_variant_has_four_combinations(self):
         setup = ToySetup(seed=3, resolutions=("hour",))
         assert setup.config.n_combinations == 4
-        combos = build_combinations(setup.sample(), setup.graphs, setup.state)
-        assert len(combos) == 4
-        run = forward(setup.state, setup.sample(), setup.graphs)
-        assert run.attention.shape[1:3] == (4, 4)
+        combos = build_combinations([setup.sample()], setup.graphs,
+                                    setup.state)
+        assert combos.shape[1] == 4
+        _, attn = forward(setup.state, [setup.sample()], setup.graphs)
+        assert attn.shape[2:4] == (4, 4)
 
 
 class TestTraining:
@@ -415,14 +465,15 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path, other)
 
-    def test_version_1_rejected(self, toy, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_rejected(self, toy, tmp_path, version):
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, toy.state)
         payload = json.loads(path.read_text())
         assert "step" not in payload and "adam_first" not in payload
-        payload["version"] = 1
+        payload["version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="version-2"):
+        with pytest.raises(DataError, match="version-3"):
             load_checkpoint(path, toy.config)
 
     def test_garbage_file_rejected(self, tmp_path):

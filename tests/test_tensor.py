@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from roadgrade.errors import NumericError
 from roadgrade.tensor import (Tensor, concat, glorot_uniform, grad_check,
-                              log_softmax, softmax, stack)
+                              log_softmax, softmax)
 
 
 class TestSoftmax:
@@ -173,7 +173,8 @@ class TestOperatorGradients:
         other = Tensor(rng.standard_normal((2, 3)))
 
         def f(p):
-            pile = stack([p, other, p], axis=0)
+            pile = concat([t.reshape(1, 2, 3) for t in (p, other, p)],
+                          axis=0)
             wide = concat([p, other], axis=1)
             return (pile * pile).sum() + wide.mean()
 
@@ -187,6 +188,24 @@ class TestOperatorGradients:
             return (p.sum(axis=0) * p.mean(axis=0)).sum() + p.mean()
 
         assert grad_check(f, point) < 1e-6
+
+    def test_constant_operand_gets_no_gradient(self):
+        # a constant side of @ and * is skipped; the parameter side is not
+        rng = np.random.default_rng(10)
+        stacked = Tensor(rng.standard_normal((3, 4, 4)))
+        param = _rand(rng, 4, 2)
+        (stacked @ param).sum().backward()
+        expected = (np.swapaxes(stacked.data, -1, -2)
+                    @ np.ones((3, 4, 2))).sum(axis=0)
+        assert np.array_equal(param.grad, expected)
+        assert stacked.grad is None
+
+        scale = Tensor(rng.standard_normal((3, 4)))
+        param = _rand(rng, 4)
+        (param * scale).sum().backward()
+        assert np.array_equal(param.grad, (np.ones((3, 4)) * scale.data)
+                              .sum(axis=0))
+        assert scale.grad is None
 
     def test_reused_node_accumulates(self):
         p = Tensor(np.array(2.0), requires_grad=True)
