@@ -180,29 +180,48 @@ def dtw_distance(a, b) -> float:
 
 
 def _pairwise_dtw(seqs: np.ndarray) -> np.ndarray:
-    """DTW distance between every pair of rows of `seqs` (shape N x L).
+    """DTW distance between every pair of rows of `seqs`: (..., N, L) to
+    (..., N, N), zero on the diagonal.
 
-    Row-by-row dynamic program vectorized over all unordered pairs; agrees
-    exactly with dtw_distance on each pair.
+    One dynamic program over all unordered pairs of every leading index at
+    once.  It is laid out (L + 1, rows), so each step works on contiguous
+    rows, and uses only abs, min and +, so it agrees exactly with
+    dtw_distance on each pair.
     """
-    n, length = seqs.shape
-    out = np.zeros((n, n))
+    *batch, n, length = seqs.shape
+    out = np.zeros((*batch, n, n))
     if n < 2:
         return out
     ii, jj = np.triu_indices(n, k=1)
-    prev = np.full((ii.size, length + 1), np.inf)
-    prev[:, 0] = 0.0
-    for r in range(1, length + 1):
-        cost = np.abs(seqs[ii, r - 1][:, None] - seqs[jj, :])  # (pairs, L)
-        cur = np.full((ii.size, length + 1), np.inf)
-        for c in range(1, length + 1):
-            best = np.minimum(prev[:, c], prev[:, c - 1])
-            best = np.minimum(best, cur[:, c - 1])
-            cur[:, c] = cost[:, c - 1] + best
-        prev = cur
-    out[ii, jj] = prev[:, length]
-    out[jj, ii] = prev[:, length]
+    # (L, rows): step r of the first sequence and every step of the second
+    first = np.moveaxis(seqs[..., ii, :], -1, 0).reshape(length, -1)
+    second = np.moveaxis(seqs[..., jj, :], -1, 0).reshape(length, -1)
+    prev = np.full((length + 1, first.shape[1]), np.inf)
+    prev[0] = 0.0
+    cur = np.empty_like(prev)
+    cost = np.empty_like(second)
+    best = np.empty_like(second)
+    for r in range(length):
+        np.abs(np.subtract(first[r], second, out=cost), out=cost)
+        # the moves from the previous row need no loop, only the one along
+        # the current row does
+        np.minimum(prev[1:], prev[:-1], out=best)
+        cur[0] = np.inf
+        for c in range(length):
+            np.minimum(best[c], cur[c], out=best[c])
+            np.add(cost[c], best[c], out=cur[c + 1])
+        prev, cur = cur, prev
+    dist = prev[length].reshape(*batch, ii.size)
+    out[..., ii, jj] = dist
+    out[..., jj, ii] = dist
     return out
+
+
+# Rows, one per (road pair, anchor, channel), of one _pairwise_dtw call in
+# build_pattern_graph (but at least one anchor's rows): a few MB of working
+# set.  Fewer rows pay more numpy call overhead per cell; far more run slower
+# and cost memory.
+DTW_CHUNK_ROWS = 8192
 
 
 def build_pattern_graph(history: TrafficSeries, alpha_speed: float,
@@ -218,21 +237,27 @@ def build_pattern_graph(history: TrafficSeries, alpha_speed: float,
     if alpha_speed <= 0 or alpha_flow <= 0:
         raise ValueError("attenuation rates must be positive")
     start, stop = _check_window(history, window)
-    anchors = range(start + pattern_hours - 1, stop)
-    if len(anchors) == 0:
+    n_anchors = stop - start - pattern_hours + 1
+    if n_anchors <= 0:
         raise DataError(
             f"window of {stop - start} h is shorter than the "
             f"{pattern_hours} h pattern length")
     n = history.n
-    alphas = (alpha_speed, alpha_flow)
+    # (anchors, channels, roads, pattern_hours): the trailing history of
+    # every anchor, a view on the series
+    histories = np.lib.stride_tricks.sliding_window_view(
+        history.values[:, start:stop, :], pattern_hours, axis=1
+    ).transpose(1, 2, 0, 3)
+    neg_alphas = -np.array([alpha_speed, alpha_flow])[:, None, None]
+    rows_per_anchor = max(1, len(neg_alphas) * n * (n - 1) // 2)
+    step = max(1, DTW_CHUNK_ROWS // rows_per_anchor)
     total = np.zeros((n, n))
-    for t in anchors:
-        per_anchor = np.zeros((n, n))
-        for channel, alpha in enumerate(alphas):
-            seqs = history.values[:, t - pattern_hours + 1:t + 1, channel]
-            per_anchor += np.exp(-alpha * _pairwise_dtw(seqs))
-        total += per_anchor / len(alphas)
-    w = total / len(anchors)
+    for lo in range(0, n_anchors, step):
+        kernels = np.exp(neg_alphas * _pairwise_dtw(histories[lo:lo + step]))
+        # anchor by anchor, speed + flow, as a per-anchor loop would add
+        for speed, flow in kernels:
+            total += (speed + flow) / len(neg_alphas)
+    w = total / n_anchors
     np.fill_diagonal(w, 0.0)
     return w
 

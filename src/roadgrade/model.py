@@ -244,19 +244,19 @@ def predict_many(state: ModelState, samples: list[ResolutionSample],
                  graphs: GraphSet) -> tuple[np.ndarray, np.ndarray]:
     """Grades (samples, roads) and the mean attention tensor.
 
-    Runs `batch_size` samples per forward.  Each road's grade is the argmax
-    of its logits, ties to the lowest grade.
+    Runs `batch_size` samples per forward, with no autodiff tape.  Each
+    road's grade is the argmax of its logits, ties to the lowest grade.
     """
     if not samples:
         raise ValueError("no samples to predict")
     step = state.config.batch_size
     preds = []
     attn_total = 0.0
-    for lo in range(0, len(samples), step):
-        logits, attn = forward(state, samples[lo:lo + step], graphs)
-        preds.append(np.argmax(logits.data, axis=-1) + 1)
-        attn_total = attn_total + attn.sum(axis=0)
-        del logits  # free this chunk's autodiff graph before the next forward
+    with state.params.frozen():
+        for lo in range(0, len(samples), step):
+            logits, attn = forward(state, samples[lo:lo + step], graphs)
+            preds.append(np.argmax(logits.data, axis=-1) + 1)
+            attn_total = attn_total + attn.sum(axis=0)
     return np.concatenate(preds), attn_total / len(samples)
 
 

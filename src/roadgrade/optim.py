@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -38,6 +40,18 @@ class ParamSet:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
+
+    @contextmanager
+    def frozen(self) -> Iterator[None]:
+        """No parameter requires a gradient inside, so forwards that no
+        backward follows record no autodiff tape; all require one after."""
+        for p in self.params.values():
+            p.requires_grad = False
+        try:
+            yield
+        finally:
+            for p in self.params.values():
+                p.requires_grad = True
 
     def gradients(self) -> dict[str, np.ndarray]:
         """Current gradients, with zeros for parameters not touched."""

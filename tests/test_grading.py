@@ -1,5 +1,7 @@
 """Self-organizing map training, assignment and ordinal relabeling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,56 @@ def two_cluster_samples(rng, per_cluster=100):
     return samples, labels
 
 
+def som_train_numpy(samples, class_count, grid, seed, learn_rate0=0.1,
+                    radius0=3.0, max_iter=200):
+    """som_train as array code: one numpy update per point (the oracle)."""
+    _, cols = grid
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.0, 1.0, size=(class_count, samples.shape[1]))
+    coords = np.array([divmod(j, cols) for j in range(class_count)])
+    grid_dist = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
+    t1 = max_iter / math.log(radius0)
+    t2 = float(max_iter)
+    for iteration in range(1, max_iter):
+        radius = radius0 * math.exp(-(iteration - 1) / t1)
+        rate = learn_rate0 * math.exp(-(iteration - 1) / t2)
+        gain = rate * radius
+        hoods = grid_dist <= radius - 1.0
+        for x in samples:
+            deltas = weights - x
+            winner = int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
+            hood = hoods[winner]
+            weights[hood] += gain * (x - weights[hood])
+    return weights
+
+
 class TestSomTrain:
+    @pytest.mark.parametrize("grid", [(1, 5), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("features", [1, 2, 3])
+    def test_bitwise_equal_to_numpy_oracle(self, grid, features):
+        rng = np.random.default_rng(10 * grid[0] + grid[1] + features)
+        points = rng.uniform(0, 1, size=(30, features))
+        # repeated points, and a coarse lattice where distances tie exactly
+        samples = np.vstack([points, points[:10], np.round(points * 2) / 2])
+        count = grid[0] * grid[1]
+        kwargs = dict(grid=grid, seed=features, max_iter=15)
+        expected = som_train_numpy(samples, count, **kwargs)
+        got = som_train(samples, count, **kwargs).weights
+        assert np.array_equal(got, expected)
+
+    def test_distance_tie_goes_to_lowest_index(self):
+        # Pass 1 (gain 1, both nodes in reach) puts both nodes exactly on
+        # the last sample, (0.75, 0.75).  In pass 2 (winner only) the first
+        # sample is equally far from both, so node 0 must be the one moving.
+        samples = np.array([[0.5, 0.5], [0.75, 0.75]])
+        som = som_train(samples, class_count=2, seed=5, learn_rate0=0.5,
+                        radius0=2.0, max_iter=3)
+        assert som.weights[1].tolist() == [0.75, 0.75]
+        assert np.all(som.weights[0] < 0.75)
+        assert np.array_equal(som.weights, som_train_numpy(
+            samples, 2, (1, 2), seed=5, learn_rate0=0.5, radius0=2.0,
+            max_iter=3))
+
     def test_constant_samples_converge_to_the_constant(self):
         target = np.array([0.3, 0.7])
         samples = np.tile(target, (50, 1))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadgrade import graphs
 from roadgrade.data import TrafficSeries
 from roadgrade.errors import DataError, DegenerateVarianceError
 from roadgrade.graphs import (ConnectivityWeights, GraphSet, RoadNetwork,
@@ -95,6 +96,24 @@ def random_network(rng, n, extra_edges=2):
 
 def constant_series(values):
     return TrafficSeries(np.asarray(values, dtype=float), DEFAULT_START)
+
+
+def pattern_graph_per_anchor(history, alpha_speed, alpha_flow, window,
+                             pattern_hours):
+    """build_pattern_graph one anchor and one channel at a time."""
+    start, stop = window
+    n = history.n
+    anchors = range(start + pattern_hours - 1, stop)
+    total = np.zeros((n, n))
+    for t in anchors:
+        per_anchor = np.zeros((n, n))
+        for channel, alpha in enumerate((alpha_speed, alpha_flow)):
+            seqs = history.values[:, t - pattern_hours + 1:t + 1, channel]
+            per_anchor += np.exp(-alpha * _pairwise_dtw(seqs))
+        total += per_anchor / 2
+    w = total / len(anchors)
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 # -- road network validation -----------------------------------------------------
@@ -242,11 +261,43 @@ class TestDtw:
                 expected = 0.0 if i == j else dtw_distance(seqs[i], seqs[j])
                 assert batch[i, j] == pytest.approx(expected, abs=1e-12)
 
+    def test_pairwise_batched_equals_per_slice_and_scalar(self):
+        rng = np.random.default_rng(3)
+        seqs = rng.normal(size=(2, 3, 5, 7))
+        batch = _pairwise_dtw(seqs)
+        assert batch.shape == (2, 3, 5, 5)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(batch[idx], _pairwise_dtw(seqs[idx]))
+            for i, j in itertools.combinations(range(5), 2):
+                expected = dtw_distance(seqs[idx][i], seqs[idx][j])
+                assert batch[idx][i, j] == expected
+                assert batch[idx][j, i] == expected
+
+    def test_pairwise_single_sequence_is_zero(self):
+        assert np.array_equal(_pairwise_dtw(np.ones((4, 1, 3))),
+                              np.zeros((4, 1, 1)))
+
 
 # -- pattern graph ------------------------------------------------------------------
 
 
 class TestPatternGraph:
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 40, None])
+    @pytest.mark.parametrize("n, pattern_hours",
+                             [(1, 3), (2, 4), (2, 1), (4, 5)])
+    def test_bitwise_equal_to_per_anchor_loop(self, monkeypatch, chunk_rows,
+                                              n, pattern_hours):
+        # DP calls of one anchor (1 and 3 rows), of several anchors with a
+        # shorter last call (40 rows: 20 anchors of 2 roads, 3 of 4 roads),
+        # and of the default size
+        if chunk_rows is not None:
+            monkeypatch.setattr(graphs, "DTW_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(n + 10 * pattern_hours)
+        series = constant_series(rng.uniform(1, 300, size=(n, 60, 2)))
+        args = (series, 1e-2, 1e-4, (2, 59), pattern_hours)
+        assert np.array_equal(build_pattern_graph(*args),
+                              pattern_graph_per_anchor(*args))
+
     def test_identical_histories_give_one(self):
         values = np.zeros((3, 30, 2))
         values[:, :, 0] = np.sin(np.arange(30)) * 10 + 50

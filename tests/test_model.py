@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import ToySetup, random_symmetric, toy_config
+from roadgrade import model
 from roadgrade.data import ResolutionSample
 from roadgrade.errors import DataError
 from roadgrade.graphs import GraphSet, RoadNetwork, normalize_adjacency, \
@@ -309,6 +310,52 @@ class TestGradients:
             return nll_loss(logits, targets)
 
         for name in setup.state.params.names():
+            err = grad_check(loss_fn, setup.state.params[name], eps=1e-6)
+            assert err < 1e-4, f"gradient mismatch for {name}: {err}"
+
+
+class TestNoTape:
+    """Forwards that no backward follows (prediction, validation) record no
+    autodiff tape; parameters still require a gradient afterwards."""
+
+    def test_prediction_logits_have_no_parents(self, toy, monkeypatch):
+        seen = []
+
+        def recording_forward(*args):
+            logits, attn = forward(*args)
+            seen.append(logits)
+            return logits, attn
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        predict_many(toy.state, [toy.sample() for _ in range(5)], toy.graphs)
+        assert len(seen) == 2
+        for logits in seen:
+            assert logits._parents == () and not logits.requires_grad
+
+    def test_parameters_still_require_grad(self, toy):
+        params = toy.state.params
+        predict_many(toy.state, [toy.sample()], toy.graphs)
+        assert all(params[name].requires_grad for name in params.names())
+        setup = ToySetup(seed=3, epochs=2)
+        train(setup.state, [setup.sample() for _ in range(4)],
+              [setup.sample() for _ in range(2)], setup.graphs)
+        params = setup.state.params
+        assert all(params[name].requires_grad for name in params.names())
+        logits, _ = forward(setup.state, [setup.sample()], setup.graphs)
+        assert logits.requires_grad and logits._parents
+
+    def test_gradcheck_after_prediction(self):
+        setup = ToySetup(seed=2, n=4, grades=3, hidden=2, heads=2,
+                         windows=(4, 2, 2))
+        batch = [setup.sample() for _ in range(2)]
+        targets = np.stack([s.target for s in batch])
+        predict_many(setup.state, batch, setup.graphs)
+
+        def loss_fn(_):
+            logits, _ = forward(setup.state, batch, setup.graphs)
+            return nll_loss(logits, targets)
+
+        for name in ("gcn1/hour", "fuse/day", "attn/key", "head/weight"):
             err = grad_check(loss_fn, setup.state.params[name], eps=1e-6)
             assert err < 1e-4, f"gradient mismatch for {name}: {err}"
 

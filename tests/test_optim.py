@@ -88,3 +88,17 @@ def test_gradients_helper_defaults_to_zeros():
     np.testing.assert_array_equal(grads["w"], np.zeros(2))
     (params["w"] * params["w"]).sum().backward()
     np.testing.assert_allclose(params.gradients()["w"], [2.0, 4.0])
+
+
+def test_frozen_records_no_tape_and_restores_requires_grad():
+    params = make_params(w=[1.0, -2.0])
+    with params.frozen():
+        out = (params["w"] * params["w"]).sum()
+    assert out.item() == 5.0
+    assert out._parents == () and not out.requires_grad
+    assert params["w"].requires_grad
+    with pytest.raises(RuntimeError):
+        with params.frozen():
+            raise RuntimeError("inside")
+    (params["w"] * params["w"]).sum().backward()
+    np.testing.assert_array_equal(params["w"].grad, [2.0, -4.0])
