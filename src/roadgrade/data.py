@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DataError
 
-SPEED, FLOW = 0, 1
 CHANNEL_NAMES = ("speed", "flow")
 
 HOUR = timedelta(hours=1)
@@ -170,9 +169,20 @@ def split(samples: list, sizes: tuple[int, int, int]):
 
 _MEASUREMENT_HEADER = ["road_id", "timestamp", "speed", "flow"]
 _GRADE_HEADER = ["road_id", "timestamp", "grade"]
+_EPOCH = datetime(1, 1, 1)
 
 
-def _parse_hour(raw: str, path, lineno: int) -> datetime:
+def read_csv_rows(path):
+    """The rows of a UTF-8 CSV file, as lists of fields, one at a time."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from csv.reader(fh)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _parse_hour(raw: str, path, lineno: int) -> int:
+    """Hours since `_EPOCH` of a naive whole-hour ISO timestamp."""
     try:
         ts = datetime.fromisoformat(raw)
     except ValueError:
@@ -180,138 +190,122 @@ def _parse_hour(raw: str, path, lineno: int) -> datetime:
     if ts.minute or ts.second or ts.microsecond or ts.tzinfo is not None:
         raise DataError(
             f"{path}:{lineno}: timestamp {raw!r} must be a naive whole hour")
-    return ts
+    return (ts - _EPOCH) // HOUR
+
+
+def _stamp(hour: int) -> str:
+    return (_EPOCH + hour * HOUR).isoformat()
+
+
+def _read_road_hours(path, header: list[str], road_ids: list[str] | None,
+                     convert) -> tuple[np.ndarray, datetime, list[str]]:
+    """A road×hour table: one `road_id,timestamp,<values>` row per cell.
+
+    Rows come in any order, and every road covers every hour exactly once.
+    Returns the values (roads, hours, k) as `convert`'s numpy type, the
+    first hour and the road order: `road_ids`, or the file's when None.
+    """
+    rows = read_csv_rows(path)
+    if next(rows, None) != header:
+        raise DataError(f"{path}:1: expected header {','.join(header)}")
+    width, what = len(header), "/".join(header[2:])
+    index = ({} if road_ids is None
+             else {rid: r for r, rid in enumerate(road_ids)})
+    hour_of: dict[str, int] = {}  # each distinct timestamp is parsed once
+    roads, hours, cells = [], [], []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != width:
+            if not row:
+                continue
+            raise DataError(f"{path}:{lineno}: expected {width} columns")
+        r = index.get(row[0])
+        if r is None:
+            if road_ids is not None:
+                raise DataError(f"{path}:{lineno}: unknown road id "
+                                f"{row[0]!r}; road ids disagree with the "
+                                "network")
+            r = index[row[0]] = len(index)
+        hour = hour_of.get(row[1])
+        if hour is None:
+            hour = hour_of[row[1]] = _parse_hour(row[1], path, lineno)
+        try:
+            cells.extend(map(convert, row[2:]))
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: bad {what} value {row[2:]}") from None
+        roads.append(r)
+        hours.append(hour)
+    if not roads:
+        raise DataError(f"{path}: no rows")
+    distinct = sorted(set(hour_of.values()))
+    first, span = distinct[0], distinct[-1] - distinct[0] + 1
+    if len(distinct) != span:  # before any array is sized by the span
+        gap = next(a for a, b in zip(distinct, distinct[1:]) if b - a > 1)
+        raise DataError(f"{path}: missing hour {_stamp(gap + 1)}: no row "
+                        f"for the hour after {_stamp(gap)}")
+    order = list(index)
+    keys = np.array(roads) * span + (np.array(hours) - first)
+    filled, first_rows = np.unique(keys, return_index=True)
+    if filled.size < keys.size:  # name the first row that repeats a cell
+        i = int(np.setdiff1d(np.arange(keys.size), first_rows)[0])
+        r, h = divmod(int(keys[i]), span)
+        lines = [n for n, row in enumerate(read_csv_rows(path), 1) if row]
+        raise DataError(f"{path}:{lines[i + 1]}: duplicate row for road "
+                        f"{order[r]!r} at {_stamp(first + h)}")
+    if filled.size < len(order) * span:  # name the first cell no row fills
+        wrong = np.flatnonzero(filled != np.arange(filled.size))
+        r, h = divmod(int(wrong[0]) if wrong.size else filled.size, span)
+        raise DataError(f"{path}: road {order[r]!r} is missing hour "
+                        f"{_stamp(first + h)}")
+    try:
+        flat = np.array(cells, dtype=convert).reshape(keys.size, -1)
+    except OverflowError:
+        raise DataError(f"{path}: a {what} value is out of range") from None
+    values = np.empty_like(flat)
+    values[keys] = flat
+    return (values.reshape(len(order), span, -1), _EPOCH + first * HOUR,
+            order)
+
+
+def _write_road_hours(path, header: list[str], values: np.ndarray,
+                      start: datetime, road_ids: list[str]) -> None:
+    """Values (roads, hours, k) as a road×hour table, road by road."""
+    stamps = [(start + h * HOUR).isoformat() for h in range(values.shape[1])]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for rid, road in zip(road_ids, values.tolist()):
+            writer.writerows([rid, stamp, *cells]
+                             for stamp, cells in zip(stamps, road))
 
 
 def write_measurements_csv(path, series: TrafficSeries,
                            road_ids: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MEASUREMENT_HEADER)
-        stamps = [ts.isoformat() for ts in series.timestamps()]
-        for r, rid in enumerate(road_ids):
-            for h, stamp in enumerate(stamps):
-                writer.writerow([rid, stamp,
-                                 repr(float(series.values[r, h, SPEED])),
-                                 repr(float(series.values[r, h, FLOW]))])
+    _write_road_hours(path, _MEASUREMENT_HEADER, series.values, series.start,
+                      road_ids)
 
 
 def read_measurements_csv(path, road_ids: list[str] | None = None
                           ) -> tuple[TrafficSeries, list[str]]:
     """Parse hourly measurements; every road must cover every hour."""
-    rows: dict[str, dict[datetime, tuple[float, float, int]]] = {}
-    order: list[str] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _MEASUREMENT_HEADER:
-            raise DataError(
-                f"{path}:1: expected header {','.join(_MEASUREMENT_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 columns")
-            rid, raw_ts, raw_speed, raw_flow = row
-            ts = _parse_hour(raw_ts, path, lineno)
-            try:
-                speed, flow = float(raw_speed), float(raw_flow)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: bad speed/flow value") from None
-            per_road = rows.setdefault(rid, {})
-            if ts in per_road:
-                raise DataError(
-                    f"{path}:{lineno}: duplicate observation for {rid!r} "
-                    f"at {raw_ts}")
-            if rid not in order:
-                order.append(rid)
-            per_road[ts] = (speed, flow, lineno)
-    if not rows:
-        raise DataError(f"{path}: no measurements")
-    if road_ids is not None:
-        missing = [rid for rid in road_ids if rid not in rows]
-        extra = [rid for rid in order if rid not in set(road_ids)]
-        if missing or extra:
-            raise DataError(
-                f"{path}: road ids disagree with the network "
-                f"(missing={missing}, unknown={extra})")
-        order = list(road_ids)
-    start = min(min(per_road) for per_road in rows.values())
-    end = max(max(per_road) for per_road in rows.values())
-    n_hours = int((end - start) / HOUR) + 1
-    values = np.zeros((len(order), n_hours, 2))
-    for r, rid in enumerate(order):
-        per_road = rows[rid]
-        previous_line = None
-        for h in range(n_hours):
-            ts = start + h * HOUR
-            if ts not in per_road:
-                where = (f"after line {previous_line}" if previous_line
-                         else "at the start of the file")
-                raise DataError(
-                    f"{path}: road {rid!r} is missing hour "
-                    f"{ts.isoformat()} ({where})")
-            speed, flow, previous_line = per_road[ts]
-            values[r, h] = (speed, flow)
+    values, start, order = _read_road_hours(path, _MEASUREMENT_HEADER,
+                                            road_ids, float)
     try:
-        series = TrafficSeries(values, start)
+        return TrafficSeries(values, start), order
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return series, order
 
 
 def write_grades_csv(path, grades: np.ndarray, start: datetime,
                      road_ids: list[str]) -> None:
-    grades = np.asarray(grades)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_GRADE_HEADER)
-        for r, rid in enumerate(road_ids):
-            for h in range(grades.shape[1]):
-                stamp = (start + h * HOUR).isoformat()
-                writer.writerow([rid, stamp, int(grades[r, h])])
+    values = np.asarray(grades).astype(np.int64)[:, :, None]
+    _write_road_hours(path, _GRADE_HEADER, values, start, road_ids)
 
 
 def read_grades_csv(path, road_ids: list[str]
                     ) -> tuple[np.ndarray, datetime]:
-    per_road: dict[str, dict[datetime, int]] = {rid: {} for rid in road_ids}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _GRADE_HEADER:
-            raise DataError(
-                f"{path}:1: expected header {','.join(_GRADE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns")
-            rid, raw_ts, raw_grade = row
-            if rid not in per_road:
-                raise DataError(f"{path}:{lineno}: unknown road id {rid!r}")
-            ts = _parse_hour(raw_ts, path, lineno)
-            try:
-                per_road[rid][ts] = int(raw_grade)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: bad grade {raw_grade!r}") from None
-    hours = sorted({ts for marks in per_road.values() for ts in marks})
-    if not hours:
-        raise DataError(f"{path}: no grades")
-    for before, after in zip(hours, hours[1:]):
-        if after - before != HOUR:
-            raise DataError(f"{path}: no grades for the hour after "
-                            f"{before.isoformat()}")
-    start = hours[0]
-    grades = np.zeros((len(road_ids), len(hours)), dtype=np.int64)
-    for r, rid in enumerate(road_ids):
-        for h, ts in enumerate(hours):
-            if ts not in per_road[rid]:
-                raise DataError(
-                    f"{path}: road {rid!r} missing grade at {ts.isoformat()}")
-            grades[r, h] = per_road[rid][ts]
-    return grades, start
+    values, start, _ = _read_road_hours(path, _GRADE_HEADER, road_ids, int)
+    return values[:, :, 0], start
 
 
 def read_json_object(path, role: str) -> dict:
@@ -319,7 +313,7 @@ def read_json_object(path, role: str) -> dict:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read {role} {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise DataError(f"{path}: {role} must be a JSON object")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TrafficSeries
+from .data import TrafficSeries, read_csv_rows
 from .errors import DataError, DegenerateVarianceError
 
 GRAPH_KEYS = ("topological", "weighted", "pattern", "attribute")
@@ -421,8 +421,7 @@ def read_network_csv(path) -> tuple[RoadNetwork, list[str]]:
     edges: list[tuple[int, int]] = []
     index: dict[str, int] = {}
     section = "roads"
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(read_csv_rows(path))
     if not rows or rows[0] != _ROAD_HEADER:
         raise DataError(f"{path}:1: expected header {','.join(_ROAD_HEADER)}")
     for lineno, row in enumerate(rows[1:], start=2):
@@ -473,8 +472,7 @@ def write_adjacency_csv(path, matrix: np.ndarray, road_ids: list[str]) -> None:
 
 
 def read_adjacency_csv(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(read_csv_rows(path))
     if not rows:
         raise DataError(f"{path}: empty adjacency file")
     road_ids = rows[0]

@@ -61,8 +61,16 @@ class RunConfig:
     synth_weeks: int = 6
 
     def __post_init__(self):
-        object.__setattr__(self, "horizons",
-                           tuple(int(h) for h in self.horizons))
+        for f in fields(self):  # each value has its default's type
+            value, many = getattr(self, f.name), isinstance(f.default, tuple)
+            kind = type(f.default[0] if many else f.default)
+            allowed = (int, float) if kind is float else (kind,)
+            items = value if many else [value]
+            if (many and not isinstance(value, (list, tuple))
+                    or any(type(item) not in allowed for item in items)):
+                what = f"a list of {kind.__name__}" if many else kind.__name__
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        object.__setattr__(self, "horizons", tuple(self.horizons))
         if not self.horizons or min(self.horizons) < 1:
             raise ConfigError("horizons must be positive")
         for name in ("n_grades", "hidden1", "hidden2", "heads", "epochs",
@@ -133,18 +141,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 # -- shared loading steps ---------------------------------------------------------
 
 
-def _require(path: Path | str, role: str) -> Path:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing {role}: {path}")
-    return path
-
-
 def load_inputs(cfg: RunConfig):
-    net, road_ids = graphs.read_network_csv(
-        _require(cfg.network, "network file"))
-    series, _ = data.read_measurements_csv(
-        _require(cfg.measurements, "measurement file"), road_ids=road_ids)
+    net, road_ids = graphs.read_network_csv(cfg.network)
+    series, _ = data.read_measurements_csv(cfg.measurements, road_ids)
     return net, series, road_ids
 
 
@@ -177,7 +176,7 @@ def _graph_inputs(cfg: RunConfig, window: tuple[int, int]) -> dict:
 def _read_graphs(cfg: RunConfig, road_ids: list[str],
                  window: tuple[int, int]) -> graphs.GraphSet:
     """The four graphs that `graphs` wrote with this config and window."""
-    report_path = _require(cfg.out_path("moran_report.json"), "Moran report")
+    report_path = cfg.out_path("moran_report.json")
     report = data.read_json_object(report_path, "Moran report")
     stale = ", ".join(key for key, value in _graph_inputs(cfg, window).items()
                       if report.get(key) != value)
@@ -185,7 +184,7 @@ def _read_graphs(cfg: RunConfig, road_ids: list[str],
         raise DataError(f"{report_path}: {stale} changed; rerun graphs")
     matrices = {}
     for key in graphs.GRAPH_KEYS:
-        path = _require(cfg.out_path(f"adjacency_{key}.csv"), "adjacency file")
+        path = cfg.out_path(f"adjacency_{key}.csv")
         matrices[key], header = graphs.read_adjacency_csv(path)
         if header != road_ids:
             raise DataError(f"{path}: header is not the network's roads")
@@ -197,7 +196,7 @@ def _prepared(cfg: RunConfig, horizon: int):
     _, series, road_ids = load_inputs(cfg)
     window = fit_hours(cfg, series.t, horizon)
     normalized = data.minmax_normalize(series, window)
-    grade_path = _require(cfg.out_path(grades_name(horizon)), "grade file")
+    grade_path = cfg.out_path(grades_name(horizon))
     grade_values, start = _read_grades(grade_path, road_ids, cfg.n_grades)
     if start != series.start or grade_values.shape[1] != series.t:
         raise DataError(f"{grade_path} does not cover the measurement series")
@@ -332,9 +331,8 @@ def run_predict(cfg: RunConfig, horizon: int) -> list[Path]:
     series, road_ids, graph_set, (_, _, test_set) = _prepared(cfg, horizon)
     if not test_set:
         raise DataError("test split is empty; nothing to predict")
-    state = model.load_checkpoint(
-        _require(cfg.out_path(checkpoint_name(horizon)), "checkpoint"),
-        cfg.model_config(len(road_ids)))
+    state = model.load_checkpoint(cfg.out_path(checkpoint_name(horizon)),
+                                  cfg.model_config(len(road_ids)))
     preds, mean_attention = model.predict_many(state, test_set, graph_set)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -354,12 +352,10 @@ def run_evaluate(cfg: RunConfig, horizon: int) -> list[Path]:
     """Score the predictions file against the grade file on the test split."""
     if cfg.test_size < 1:
         raise DataError("test split is empty; nothing to evaluate")
-    _, road_ids = graphs.read_network_csv(
-        _require(cfg.network, "network file"))
-    grade_path = _require(cfg.out_path(grades_name(horizon)), "grade file")
+    _, road_ids = graphs.read_network_csv(cfg.network)
+    grade_path = cfg.out_path(grades_name(horizon))
     grade_values, start = _read_grades(grade_path, road_ids, cfg.n_grades)
-    pred_path = _require(cfg.out_path(predictions_name(horizon)),
-                         "predictions file")
+    pred_path = cfg.out_path(predictions_name(horizon))
     preds, pred_start = _read_grades(pred_path, road_ids, cfg.n_grades)
     first = (data.first_anchor(horizon, cfg.windows) + cfg.train_size
              + cfg.val_size + horizon)
@@ -394,9 +390,8 @@ def run_evaluate(cfg: RunConfig, horizon: int) -> list[Path]:
 
 
 def run_explain(cfg: RunConfig, horizon: int) -> list[Path]:
-    trace_path = _require(cfg.out_path(f"attention_h{horizon}.json"),
-                          "attention record")
-    record = explain.read_attention_record(trace_path)
+    record = explain.read_attention_record(
+        cfg.out_path(f"attention_h{horizon}.json"))
     report = explain.build_report(record)
     out = Path(cfg.out_dir)
     json_path = out / f"importance_h{horizon}.json"

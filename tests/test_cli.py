@@ -229,6 +229,15 @@ class TestFailureModes:
         assert main(["graphs", "--config", str(config)]) == 2
         assert ":2" in capsys.readouterr().err
 
+    def test_undecodable_measurements_exit_2(self, tmp_path, capsys):
+        config, _ = write_config(tmp_path)
+        assert main(["synth", "--config", str(config)]) == 0
+        path = tmp_path / "measurements.csv"
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert main(["graphs", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "measurements.csv" in err and "Traceback" not in err
+
 
 def _copy_pipeline(pipeline, tmp_path, **extra):
     """A config over a private copy of the pipeline fixture's artifacts."""
@@ -253,6 +262,13 @@ def _drop_fifth_test_hour(path):
                               if line.split(",")[1] != hour) + "\n")
 
 
+def _duplicate_first_row(path):
+    lines = path.read_text().splitlines()
+    cells, grade = lines[1].rsplit(",", 1)
+    lines.append(f"{cells},{1 if grade != '1' else 2}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _drop_last_hour(path):
     lines = path.read_text().splitlines()
     last = max(line.split(",")[1] for line in lines[1:])
@@ -265,7 +281,8 @@ class TestStalePredictions:
         (_grade_nine, {}),
         (_drop_fifth_test_hour, {}),
         (None, {"val_size": 10}),
-    ], ids=["grade-9", "missing-hour", "other-val-size"])
+        (_duplicate_first_row, {}),
+    ], ids=["grade-9", "missing-hour", "other-val-size", "duplicate-row"])
     def test_evaluate_exits_2_naming_predictions(self, pipeline, tmp_path,
                                                  capsys, tamper, extra):
         config, out = _copy_pipeline(pipeline, tmp_path, **extra)
@@ -417,7 +434,9 @@ def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
     ("som_radius", 1.0), ("som_learn_rate", 0), ("learning_rate", 0),
     ("alpha_speed", 0), ("alpha_flow", 0), ("window_hours", 0),
     ("window_days", 0), ("window_weeks", 0), ("pattern_hours", 0),
-    ("pattern_hours", -3),
+    ("pattern_hours", -3), ("epochs", 1.5), ("batch_size", 2.5),
+    ("heads", 3.0), ("synth_roads", 12.5), ("seed", "abc"),
+    ("horizons", ["x"]), ("epochs", True), ("learning_rate", "1e-3"),
 ])
 def test_rejected_config_value_exits_1(tmp_path, capsys, key, value):
     config, _ = write_config(tmp_path, **{key: value})

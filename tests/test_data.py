@@ -198,3 +198,12 @@ class TestGradeCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="grades.csv.*hour after"):
             read_grades_csv(path, ["A"])
+
+    def test_duplicate_row_rejected(self, tmp_path):
+        path = tmp_path / "grades.csv"
+        write_grades_csv(path, np.array([[1, 2, 3]]), START, ["A"])
+        lines = path.read_text().splitlines()
+        lines.append(lines[1].rsplit(",", 1)[0] + ",3")  # hour 0, grade 3
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="grades.csv:5: duplicate row"):
+            read_grades_csv(path, ["A"])
