@@ -6,8 +6,8 @@ multi-head attention, and attention-score-based importance analysis of the
 (resolution x graph) feature combinations.
 """
 
-from .data import (ResolutionSample, TrafficSeries, enumerate_samples,
-                   minmax_normalize, slice_sample, split)
+from .data import (Samples, TrafficSeries, enumerate_samples,
+                   minmax_normalize, split_anchors)
 from .errors import (ConfigError, DataError, DegenerateMarginalsError,
                      DegenerateVarianceError, NumericError, RoadgradeError)
 from .explain import (AttentionRecord, ImportanceReport, aggregate_attention,

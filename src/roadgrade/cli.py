@@ -17,26 +17,22 @@ from .pipeline import (load_config, run_ablate, run_evaluate,
 
 USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
 
-# name -> (help text, runner taking the config, horizon and parsed arguments)
+# name -> (help text, runner taking the config and horizon)
 COMMANDS = {
     "synth": ("generate a synthetic network and measurement series",
-              lambda cfg, horizon, args: run_synth(cfg)),
+              lambda cfg, horizon: run_synth(cfg)),
     "graphs": ("build the four adjacency matrices and a Moran report",
-               lambda cfg, horizon, args: run_graphs(cfg, horizon)),
+               run_graphs),
     "label": ("assign congestion grades with the self-organizing map",
-              lambda cfg, horizon, args: run_label(cfg, horizon)),
-    "train": ("train the prediction model",
-              lambda cfg, horizon, args: run_train(cfg, horizon,
-                                                   variant=args.variant)),
+              run_label),
+    "train": ("train the prediction model", run_train),
     "predict": ("predict test-split grades and dump the attention trace",
-                lambda cfg, horizon, args: run_predict(cfg, horizon)),
+                run_predict),
     "evaluate": ("score the predictions file against the grade file: "
-                 "accuracy, kappa and the per-hour grade MAE",
-                 lambda cfg, horizon, args: run_evaluate(cfg, horizon)),
-    "explain": ("derive combination-importance reports",
-                lambda cfg, horizon, args: run_explain(cfg, horizon)),
+                 "accuracy, kappa and the per-hour grade MAE", run_evaluate),
+    "explain": ("derive combination-importance reports", run_explain),
     "ablate": ("compare full and single-resolution models",
-               lambda cfg, horizon, args: run_ablate(cfg)),
+               lambda cfg, horizon: run_ablate(cfg)),
 }
 
 
@@ -55,23 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="YAML run configuration file")
         cmd.add_argument("--seed", type=int, help="override the run seed")
         cmd.add_argument("--out", help="override the output directory")
-        if name != "evaluate":  # evaluate runs no model
-            cmd.add_argument("--heads", type=int,
-                             help="override the attention head count")
         if name not in ("synth", "ablate"):
             cmd.add_argument("--horizon", type=int,
                              help="prediction horizon in hours "
                                   "(default: first configured horizon)")
-        if name == "train":
-            cmd.add_argument("--variant", default="full",
-                             choices=["full", "hourly", "daily", "weekly"],
-                             help="input-resolution variant to train")
     return parser
 
 
 def _run(args) -> list:
-    overrides = {"seed": args.seed, "out_dir": args.out,
-                 "heads": getattr(args, "heads", None)}
+    overrides = {"seed": args.seed, "out_dir": args.out}
     cfg = load_config(args.config, overrides)
     horizon = getattr(args, "horizon", None)
     if horizon is None:
@@ -79,7 +67,7 @@ def _run(args) -> list:
     elif horizon < 1:
         raise ConfigError("horizon must be >= 1")
     _, runner = COMMANDS[args.command]
-    return runner(cfg, horizon, args)
+    return runner(cfg, horizon)
 
 
 def main(argv=None) -> int:

@@ -50,9 +50,6 @@ class TrafficSeries:
     def timestamp(self, hour: int) -> datetime:
         return self.start + hour * HOUR
 
-    def timestamps(self) -> list[datetime]:
-        return [self.timestamp(h) for h in range(self.t)]
-
 
 def minmax_normalize(series: TrafficSeries,
                      fit_range: tuple[int, int]) -> TrafficSeries:
@@ -74,63 +71,37 @@ def minmax_normalize(series: TrafficSeries,
 
 
 @dataclass(frozen=True)
-class ResolutionSample:
-    """One model input: three history views plus the grade targets."""
+class Samples:
+    """Model inputs for a run of anchor hours, one row per anchor."""
 
-    hourly: np.ndarray     # (roads, window_hours, 2)
-    daily: np.ndarray      # (roads, window_days, 2)
-    weekly: np.ndarray     # (roads, window_weeks, 2)
-    target: np.ndarray     # (roads,) grades in [1, n_grades]
-    tau: int
-    horizon: int
+    history: dict[str, np.ndarray]  # resolution -> (samples, roads, window, 2)
+    target: np.ndarray              # (samples, roads) grades, horizon ahead
+    anchors: np.ndarray             # (samples,) anchor hours
 
-    def history(self, resolution: str) -> np.ndarray:
-        return {"hour": self.hourly, "day": self.daily,
-                "week": self.weekly}[resolution]
+    def __len__(self) -> int:
+        return len(self.anchors)
 
-    @property
-    def target_hour(self) -> int:
-        return self.tau + self.horizon
+    def take(self, index) -> Samples:
+        """The sub-batch at `index`, a slice or an array of positions."""
+        return Samples({res: h[index] for res, h in self.history.items()},
+                       self.target[index], self.anchors[index])
 
 
-def resolution_indices(tau: int, horizon: int,
+def resolution_indices(tau, horizon: int,
                        windows: tuple[int, int, int]) -> dict[str, np.ndarray]:
-    """Hour indices feeding each resolution channel for anchor `tau`."""
+    """Hour indices feeding each resolution channel for anchor `tau`.
+
+    An array of anchors gives one row of indices per anchor.
+    """
+    tau = np.asarray(tau)[..., None]
     delta_h, delta_d, delta_w = windows
     t_d = tau + horizon - 24
     t_w = tau + horizon - 168
     return {
-        "hour": np.arange(tau - delta_h + 1, tau + 1),
+        "hour": tau + np.arange(1 - delta_h, 1),
         "day": t_d - 24 * np.arange(delta_d - 1, -1, -1),
         "week": t_w - 168 * np.arange(delta_w - 1, -1, -1),
     }
-
-
-def slice_sample(series: TrafficSeries, grades: np.ndarray, tau: int,
-                 horizon: int,
-                 windows: tuple[int, int, int] = (24, 7, 3)
-                 ) -> ResolutionSample:
-    """Cut the three-resolution input anchored at hour `tau`."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if tau + horizon >= series.t:
-        raise ValueError(f"target hour {tau + horizon} beyond series end")
-    indices = resolution_indices(tau, horizon, windows)
-    for name, idx in indices.items():
-        if idx[0] < 0:
-            raise ValueError(
-                f"insufficient history for the {name} channel at tau={tau}")
-    grades = np.asarray(grades)
-    if grades.shape != (series.n, series.t):
-        raise ValueError("grades shape must match the series")
-    return ResolutionSample(
-        hourly=series.values[:, indices["hour"], :],
-        daily=series.values[:, indices["day"], :],
-        weekly=series.values[:, indices["week"], :],
-        target=grades[:, tau + horizon].astype(np.int64),
-        tau=tau,
-        horizon=horizon,
-    )
 
 
 def first_anchor(horizon: int, windows: tuple[int, int, int]) -> int:
@@ -141,28 +112,54 @@ def first_anchor(horizon: int, windows: tuple[int, int, int]) -> int:
                168 * (delta_w - 1) + 168 - horizon)
 
 
-def enumerate_samples(series: TrafficSeries, grades: np.ndarray, horizon: int,
-                      windows: tuple[int, int, int] = (24, 7, 3)
-                      ) -> list[ResolutionSample]:
-    """All valid samples in chronological anchor order."""
-    return [slice_sample(series, grades, tau, horizon, windows)
-            for tau in range(first_anchor(horizon, windows),
-                             series.t - horizon)]
+def split_anchors(t: int, horizon: int, windows: tuple[int, int, int],
+                  sizes: tuple[int, int, int]) -> tuple[range, range, range]:
+    """Chronological train/validation/test anchor hours of a `t`-hour series.
 
-
-def split(samples: list, sizes: tuple[int, int, int]):
-    """Chronological train/validation/test split; no shuffling."""
+    The three runs follow each other from the first anchor with full
+    history; the last test target must lie inside the series.
+    """
     n_train, n_val, n_test = (int(s) for s in sizes)
     if min(n_train, n_val, n_test) < 0:
         raise ValueError("split sizes must be non-negative")
-    if n_train + n_val + n_test > len(samples):
-        raise ValueError(
-            f"split sizes sum to {n_train + n_val + n_test} but only "
-            f"{len(samples)} samples exist")
-    train = samples[:n_train]
-    val = samples[n_train:n_train + n_val]
-    test = samples[n_train + n_val:n_train + n_val + n_test]
+    start = first_anchor(horizon, windows)
+    train = range(start, start + n_train)
+    val = range(train.stop, train.stop + n_val)
+    test = range(val.stop, val.stop + n_test)
+    if test.stop + horizon > t:
+        raise DataError(
+            f"series of {t} h cannot hold {n_train} training, {n_val} "
+            f"validation and {n_test} test samples at horizon {horizon}")
     return train, val, test
+
+
+def enumerate_samples(series: TrafficSeries, grades: np.ndarray,
+                      anchors: range, horizon: int,
+                      windows: tuple[int, int, int] = (24, 7, 3)) -> Samples:
+    """The three-resolution inputs and grade targets of `anchors`."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    grades = np.asarray(grades)
+    if grades.shape != (series.n, series.t):
+        raise ValueError("grades shape must match the series")
+    anchors = np.asarray(anchors, dtype=np.int64)
+    indices = resolution_indices(anchors, horizon, windows)
+    if anchors.size:
+        for name, idx in indices.items():
+            if idx.min() < 0:
+                raise ValueError(f"insufficient history for the {name} "
+                                 f"channel at tau={anchors.min()}")
+        if anchors.max() + horizon >= series.t:
+            raise ValueError(
+                f"target hour {anchors.max() + horizon} beyond series end")
+    # One gather per resolution.  Memory runs (anchor, hour, road, channel)
+    # and `take` keeps that order: matmul rounding depends on the layout, so
+    # another layout would change the trained bits.
+    by_hour = series.values.transpose(1, 0, 2)
+    history = {name: by_hour[idx].transpose(0, 2, 1, 3)
+               for name, idx in indices.items()}
+    target = grades.T[anchors + horizon].astype(np.int64)
+    return Samples(history, target, anchors)
 
 
 # -- CSV formats -----------------------------------------------------------------

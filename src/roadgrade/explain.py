@@ -111,7 +111,6 @@ class ImportanceReport:
     """All derived importance views for one prediction length."""
 
     labels: tuple[str, ...]
-    aggregated: np.ndarray                 # raw comb x comb sums
     heatmap: np.ndarray                    # normalized, cells sum to 1
     combination: dict[str, float]
     resolution: dict[str, float]
@@ -120,12 +119,10 @@ class ImportanceReport:
 
 
 def build_report(record: AttentionRecord) -> ImportanceReport:
-    aggregated = aggregate_attention(record.attention)
-    heatmap = normalize_heatmap(aggregated)
+    heatmap = normalize_heatmap(aggregate_attention(record.attention))
     importance = combination_importance(heatmap)
     return ImportanceReport(
         labels=record.labels,
-        aggregated=aggregated,
         heatmap=heatmap,
         combination={label: float(v)
                      for label, v in zip(record.labels, importance)},

@@ -339,18 +339,18 @@ class GraphSet:
     weighted: np.ndarray
     pattern: np.ndarray
     attribute: np.ndarray
-    normalized: dict[str, np.ndarray] = field(default_factory=dict)
+    # (graphs, roads, roads) in GRAPH_KEYS order, as the model reads them
+    normalized: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.normalized:
-            object.__setattr__(self, "normalized", {
-                key: normalize_adjacency(self.raw(key)) for key in GRAPH_KEYS})
+        object.__setattr__(self, "normalized", np.stack(
+            [normalize_adjacency(self.raw(key)) for key in GRAPH_KEYS]))
 
     def raw(self, key: str) -> np.ndarray:
         return getattr(self, key)
 
     def norm(self, key: str) -> np.ndarray:
-        return self.normalized[key]
+        return self.normalized[GRAPH_KEYS.index(key)]
 
     @classmethod
     def build(cls, net: RoadNetwork, history: TrafficSeries,

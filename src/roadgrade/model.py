@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import ResolutionSample, read_json_object
+from .data import Samples, read_json_object
 from .errors import DataError, NumericError
 from .graphs import GraphSet, GRAPH_KEYS, GRAPH_LETTERS
 from .optim import ParamSet, adam_step
@@ -156,7 +156,7 @@ def temporal_attention(x: Tensor) -> Tensor:
     return (weights @ seq).transpose(swap)
 
 
-def build_combinations(samples: list[ResolutionSample], graphs: GraphSet,
+def build_combinations(samples: Samples, graphs: GraphSet,
                        state: ModelState) -> Tensor:
     """The (resolution x graph) embeddings, (batch, comb, roads, d).
 
@@ -164,10 +164,10 @@ def build_combinations(samples: list[ResolutionSample], graphs: GraphSet,
     (topological, weighted, pattern, attribute) within each resolution.
     """
     params = state.params
-    a_norm = Tensor(np.stack([graphs.norm(g) for g in GRAPH_KEYS]))
+    a_norm = Tensor(graphs.normalized)
     out: list[Tensor] = []
     for res in state.config.resolutions:
-        history = np.stack([s.history(res) for s in samples])  # (B, n, w, 2)
+        history = samples.history[res]                        # (B, n, w, 2)
         z = Tensor(np.moveaxis(history, -1, 1)[:, :, None])   # (B, 2, 1, n, w)
         h1 = shared_gcn_layer(z, a_norm, params[f"gcn1/{res}"])
         h2 = shared_gcn_layer(h1, a_norm, params[f"gcn2/{res}"])
@@ -229,7 +229,7 @@ def nll_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     return -(log_probs * mask).sum() / targets.size
 
 
-def forward(state: ModelState, samples: list[ResolutionSample],
+def forward(state: ModelState, samples: Samples,
             graphs: GraphSet) -> tuple[Tensor, np.ndarray]:
     """Logits (batch, roads, grades) and attention (batch, heads, comb,
     comb, d) for a batch of samples."""
@@ -240,7 +240,7 @@ def forward(state: ModelState, samples: list[ResolutionSample],
     return logits, attn
 
 
-def predict_many(state: ModelState, samples: list[ResolutionSample],
+def predict_many(state: ModelState, samples: Samples,
                  graphs: GraphSet) -> tuple[np.ndarray, np.ndarray]:
     """Grades (samples, roads) and the mean attention tensor.
 
@@ -254,7 +254,8 @@ def predict_many(state: ModelState, samples: list[ResolutionSample],
     attn_total = 0.0
     with state.params.frozen():
         for lo in range(0, len(samples), step):
-            logits, attn = forward(state, samples[lo:lo + step], graphs)
+            logits, attn = forward(state, samples.take(slice(lo, lo + step)),
+                                   graphs)
             preds.append(np.argmax(logits.data, axis=-1) + 1)
             attn_total = attn_total + attn.sum(axis=0)
     return np.concatenate(preds), attn_total / len(samples)
@@ -270,9 +271,8 @@ class EpochStats:
     val_accuracy: float | None
 
 
-def train(state: ModelState, train_samples: list[ResolutionSample],
-          val_samples: list[ResolutionSample], graphs: GraphSet
-          ) -> list[EpochStats]:
+def train(state: ModelState, train_samples: Samples, val_samples: Samples,
+          graphs: GraphSet) -> list[EpochStats]:
     """Mini-batch Adam; retains the best-validation-accuracy parameters."""
     if not train_samples:
         raise ValueError("empty training set")
@@ -285,10 +285,9 @@ def train(state: ModelState, train_samples: list[ResolutionSample],
         order = rng.permutation(len(train_samples))
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
-            batch = [train_samples[i] for i in order[lo:lo + cfg.batch_size]]
+            batch = train_samples.take(order[lo:lo + cfg.batch_size])
             state.params.zero_grad()
-            loss = nll_loss(forward(state, batch, graphs)[0],
-                            np.stack([s.target for s in batch]))
+            loss = nll_loss(forward(state, batch, graphs)[0], batch.target)
             if not math.isfinite(loss.item()):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch starting {lo}")
@@ -301,8 +300,7 @@ def train(state: ModelState, train_samples: list[ResolutionSample],
         val_acc = None
         if val_samples:
             preds, _ = predict_many(state, val_samples, graphs)
-            truth = np.stack([s.target for s in val_samples])
-            val_acc = float((preds == truth).mean())
+            val_acc = float((preds == val_samples.target).mean())
             if val_acc > best_acc:
                 best_acc = val_acc
                 best_values = state.params.copy_values()

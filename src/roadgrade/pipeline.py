@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import data, explain, graphs, grading, metrics, model, synth
@@ -79,6 +78,12 @@ class RunConfig:
                      "pattern_hours"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("seed", "val_size", "test_size"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        for name in ("synth_roads", "synth_weeks"):  # the generator's floor
+            if getattr(self, name) < 4:
+                raise ConfigError(f"{name} must be >= 4")
         for name in ("learning_rate", "alpha_speed", "alpha_flow",
                      "som_learn_rate"):
             if not getattr(self, name) > 0:
@@ -147,16 +152,16 @@ def load_inputs(cfg: RunConfig):
     return net, series, road_ids
 
 
-def fit_hours(cfg: RunConfig, series_t: int, horizon: int) -> tuple[int, int]:
-    """Hours treated as training knowledge: up to the last training target."""
-    tau0 = data.first_anchor(horizon, cfg.windows)
-    last_train_tau = tau0 + cfg.train_size - 1
-    end = last_train_tau + horizon + 1
-    if end > series_t:
-        raise DataError(
-            f"series of {series_t} h cannot hold {cfg.train_size} training "
-            f"samples at horizon {horizon}")
-    return 0, end
+def split_hours(cfg: RunConfig, series_t: int, horizon: int):
+    """The split's anchor ranges and the fit window: the hours that fitted
+    state (normalization, graphs, grades) sees, up to the last training
+    target."""
+    try:
+        splits = data.split_anchors(series_t, horizon, cfg.windows,
+                                    cfg.split_sizes)
+    except DataError as exc:
+        raise DataError(f"{cfg.measurements}: {exc}") from None
+    return splits, (0, splits[0].stop + horizon)
 
 
 def _read_grades(path: Path, road_ids: list[str], n_grades: int):
@@ -192,22 +197,19 @@ def _read_graphs(cfg: RunConfig, road_ids: list[str],
 
 
 def _prepared(cfg: RunConfig, horizon: int):
-    """What the model stages share: the graphs read, samples, splits."""
+    """What the model stages share: the graphs read, the split's samples."""
     _, series, road_ids = load_inputs(cfg)
-    window = fit_hours(cfg, series.t, horizon)
+    splits, window = split_hours(cfg, series.t, horizon)
     normalized = data.minmax_normalize(series, window)
     grade_path = cfg.out_path(grades_name(horizon))
     grade_values, start = _read_grades(grade_path, road_ids, cfg.n_grades)
     if start != series.start or grade_values.shape[1] != series.t:
         raise DataError(f"{grade_path} does not cover the measurement series")
     graph_set = _read_graphs(cfg, road_ids, window)
-    samples = data.enumerate_samples(normalized, grade_values, horizon,
-                                     cfg.windows)
-    try:
-        train_set, val_set, test_set = data.split(samples, cfg.split_sizes)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-    return series, road_ids, graph_set, (train_set, val_set, test_set)
+    samples = tuple(data.enumerate_samples(normalized, grade_values, anchors,
+                                           horizon, cfg.windows)
+                    for anchors in splits)
+    return series, road_ids, graph_set, samples
 
 
 # -- artifact names ---------------------------------------------------------------
@@ -254,7 +256,7 @@ def run_synth(cfg: RunConfig) -> list[Path]:
 
 def run_graphs(cfg: RunConfig, horizon: int) -> list[Path]:
     net, series, road_ids = load_inputs(cfg)
-    window = fit_hours(cfg, series.t, horizon)
+    _, window = split_hours(cfg, series.t, horizon)
     graph_set = graphs.GraphSet.build(
         net, series, window, alpha_speed=cfg.alpha_speed,
         alpha_flow=cfg.alpha_flow, pattern_hours=cfg.pattern_hours)
@@ -288,7 +290,7 @@ def run_graphs(cfg: RunConfig, horizon: int) -> list[Path]:
 
 def run_label(cfg: RunConfig, horizon: int) -> list[Path]:
     _, series, road_ids = load_inputs(cfg)
-    window = fit_hours(cfg, series.t, horizon)
+    _, window = split_hours(cfg, series.t, horizon)
     normalized = data.minmax_normalize(series, window)
     grade_series, _, _ = grading.label_series(
         normalized.values, cfg.n_grades, seed=cfg.seed,
@@ -318,13 +320,12 @@ def _train_and_save(cfg: RunConfig, horizon: int, n_roads: int, graph_set,
     return state
 
 
-def run_train(cfg: RunConfig, horizon: int,
-              variant: str = "full") -> list[Path]:
+def run_train(cfg: RunConfig, horizon: int) -> list[Path]:
     _, road_ids, graph_set, (train_set, val_set, _) = _prepared(cfg, horizon)
     _train_and_save(cfg, horizon, len(road_ids), graph_set, train_set,
-                    val_set, variant)
-    return [cfg.out_path(checkpoint_name(horizon, variant)),
-            cfg.out_path(training_log_name(horizon, variant))]
+                    val_set, "full")
+    return [cfg.out_path(checkpoint_name(horizon)),
+            cfg.out_path(training_log_name(horizon))]
 
 
 def run_predict(cfg: RunConfig, horizon: int) -> list[Path]:
@@ -337,10 +338,9 @@ def run_predict(cfg: RunConfig, horizon: int) -> list[Path]:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pred_path = out / predictions_name(horizon)
-    target_hours = [s.target_hour for s in test_set]
-    data.write_grades_csv(
-        pred_path, preds.T,
-        series.timestamp(target_hours[0]), road_ids)
+    first_target = int(test_set.anchors[0]) + horizon
+    data.write_grades_csv(pred_path, preds.T, series.timestamp(first_target),
+                          road_ids)
     record = explain.AttentionRecord(
         mean_attention, tuple(state.config.combination_labels()), horizon)
     trace_path = out / f"attention_h{horizon}.json"
@@ -357,16 +357,17 @@ def run_evaluate(cfg: RunConfig, horizon: int) -> list[Path]:
     grade_values, start = _read_grades(grade_path, road_ids, cfg.n_grades)
     pred_path = cfg.out_path(predictions_name(horizon))
     preds, pred_start = _read_grades(pred_path, road_ids, cfg.n_grades)
-    first = (data.first_anchor(horizon, cfg.windows) + cfg.train_size
-             + cfg.val_size + horizon)
-    last = first + cfg.test_size
+    try:
+        _, _, test = data.split_anchors(grade_values.shape[1], horizon,
+                                        cfg.windows, cfg.split_sizes)
+    except DataError as exc:
+        raise DataError(f"{grade_path}: {exc}") from None
+    first, last = test.start + horizon, test.stop + horizon
     first_stamp = start + first * data.HOUR
-    if pred_start != first_stamp or preds.shape[1] != cfg.test_size:
+    if pred_start != first_stamp or preds.shape[1] != len(test):
         raise DataError(
-            f"{pred_path} does not cover the {cfg.test_size} test hours from "
+            f"{pred_path} does not cover the {len(test)} test hours from "
             f"{first_stamp.isoformat()}; rerun predict")
-    if last > grade_values.shape[1]:
-        raise DataError(f"{grade_path} ends before the test split")
     truth = grade_values[:, first:last]
     mae = metrics.grade_mae_series(preds, truth)
     payload = {
@@ -415,7 +416,7 @@ def run_ablate(cfg: RunConfig) -> list[Path]:
         train_set, val_set, test_set = splits
         if not test_set:
             raise DataError("test split is empty; nothing to compare")
-        truth = np.stack([s.target for s in test_set])
+        truth = test_set.target
         for variant in VARIANT_NAMES:
             state = _train_and_save(cfg, horizon, len(road_ids), graph_set,
                                     train_set, val_set, variant)

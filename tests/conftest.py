@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from roadgrade.data import ResolutionSample, TrafficSeries
+from roadgrade.data import Samples, TrafficSeries
 from roadgrade.graphs import GraphSet, RoadNetwork
 from roadgrade.model import ModelConfig, init_state
 from roadgrade.synth import DEFAULT_START
@@ -33,16 +33,17 @@ def toy_config(n=4, grades=3, hidden=3, heads=2, windows=(6, 3, 2),
                        learning_rate=lr, batch_size=batch_size, epochs=epochs)
 
 
-def toy_sample(rng, config, target=None):
+def toy_samples(rng, config, count=1):
+    """`count` random samples, each drawn as a whole before the next."""
     n = config.n_roads
-    if target is None:
-        target = rng.integers(1, config.n_grades + 1, size=n)
-    return ResolutionSample(
-        hourly=rng.uniform(0, 1, size=(n, config.window_hours, 2)),
-        daily=rng.uniform(0, 1, size=(n, config.window_days, 2)),
-        weekly=rng.uniform(0, 1, size=(n, config.window_weeks, 2)),
-        target=np.asarray(target, dtype=np.int64),
-        tau=500, horizon=1)
+    drawn = [(rng.integers(1, config.n_grades + 1, size=n),
+              rng.uniform(0, 1, size=(n, config.window_hours, 2)),
+              rng.uniform(0, 1, size=(n, config.window_days, 2)),
+              rng.uniform(0, 1, size=(n, config.window_weeks, 2)))
+             for _ in range(count)]
+    target, hourly, daily, weekly = (np.stack(part) for part in zip(*drawn))
+    return Samples({"hour": hourly, "day": daily, "week": weekly},
+                   target.astype(np.int64), np.full(count, 500))
 
 
 class ToySetup:
@@ -52,8 +53,8 @@ class ToySetup:
         self.graphs = toy_graphs(self.rng, self.config.n_roads)
         self.state = init_state(self.config, seed=seed)
 
-    def sample(self, target=None):
-        return toy_sample(self.rng, self.config, target)
+    def samples(self, count=1):
+        return toy_samples(self.rng, self.config, count)
 
 
 @pytest.fixture

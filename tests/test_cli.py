@@ -10,13 +10,13 @@ import yaml
 
 from roadgrade.cli import main
 from roadgrade.data import enumerate_samples, minmax_normalize, \
-    read_grades_csv, read_measurements_csv, split, write_measurements_csv
+    read_grades_csv, read_measurements_csv, write_measurements_csv
 from roadgrade.graphs import GRAPH_KEYS, GraphSet, read_adjacency_csv, \
     read_network_csv, write_network_csv, RoadNetwork
 from roadgrade.metrics import accuracy, quadratic_weighted_kappa
 from roadgrade.model import CHECKPOINT_VERSION, load_checkpoint, \
     predict_many
-from roadgrade.pipeline import fit_hours, load_config
+from roadgrade.pipeline import load_config, split_hours
 from roadgrade.synth import DEFAULT_START
 from roadgrade.data import TrafficSeries
 
@@ -129,18 +129,17 @@ class TestPipeline:
         cfg = load_config(str(config))
         net, road_ids = read_network_csv(cfg.network)
         series, _ = read_measurements_csv(cfg.measurements, road_ids)
-        window = fit_hours(cfg, series.t, 1)
+        (_, _, test), window = split_hours(cfg, series.t, 1)
         graph_set = GraphSet.build(
             net, series, window, alpha_speed=cfg.alpha_speed,
             alpha_flow=cfg.alpha_flow, pattern_hours=cfg.pattern_hours)
         grades, _ = read_grades_csv(out / "grades_h1.csv", road_ids)
-        samples = enumerate_samples(minmax_normalize(series, window),
-                                    grades, 1, cfg.windows)
-        _, _, test_set = split(samples, cfg.split_sizes)
+        test_set = enumerate_samples(minmax_normalize(series, window),
+                                     grades, test, 1, cfg.windows)
         state = load_checkpoint(out / "checkpoint_h1.json",
                                 cfg.model_config(net.n))
         preds, _ = predict_many(state, test_set, graph_set)
-        truth = np.stack([s.target for s in test_set])
+        truth = test_set.target
         payload = json.loads((out / "metrics_h1.json").read_text())
         assert payload["accuracy"] == accuracy(preds, truth)
         assert payload["quadratic_weighted_kappa"] == \
@@ -437,6 +436,8 @@ def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
     ("pattern_hours", -3), ("epochs", 1.5), ("batch_size", 2.5),
     ("heads", 3.0), ("synth_roads", 12.5), ("seed", "abc"),
     ("horizons", ["x"]), ("epochs", True), ("learning_rate", "1e-3"),
+    ("synth_roads", 2), ("synth_weeks", 3), ("seed", -1), ("val_size", -1),
+    ("test_size", -5),
 ])
 def test_rejected_config_value_exits_1(tmp_path, capsys, key, value):
     config, _ = write_config(tmp_path, **{key: value})

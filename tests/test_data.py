@@ -7,7 +7,7 @@ import pytest
 
 from roadgrade.data import (TrafficSeries, enumerate_samples, first_anchor, minmax_normalize,
                             read_grades_csv, read_measurements_csv,
-                            resolution_indices, slice_sample, split,
+                            resolution_indices, split_anchors,
                             write_grades_csv, write_measurements_csv)
 from roadgrade.errors import DataError
 
@@ -33,12 +33,6 @@ class TestTrafficSeries:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             TrafficSeries(bad, START)
-
-    def test_timestamps_are_hourly(self):
-        series = make_series(t=3)
-        stamps = series.timestamps()
-        assert stamps[0] == START
-        assert (stamps[2] - stamps[1]).total_seconds() == 3600
 
 
 class TestMinmaxNormalize:
@@ -82,17 +76,17 @@ class TestSliceSample:
         grades = np.ones((series.n, series.t), dtype=int)
         # tau=400, horizon=1: weekly channel would need hour -103
         with pytest.raises(ValueError, match="week"):
-            slice_sample(series, grades, tau=400, horizon=1)
+            enumerate_samples(series, grades, range(400, 401), horizon=1)
 
     def test_shapes_and_target(self):
         series = make_series(t=900)
         grades = np.ones((series.n, series.t), dtype=int)
         grades[:, 601] = 3
-        sample = slice_sample(series, grades, tau=600, horizon=1)
-        assert sample.hourly.shape == (3, 24, 2)
-        assert sample.daily.shape == (3, 7, 2)
-        assert sample.weekly.shape == (3, 3, 2)
-        assert sample.target.tolist() == [3, 3, 3]
+        sample = enumerate_samples(series, grades, range(600, 601), horizon=1)
+        assert sample.history["hour"].shape == (1, 3, 24, 2)
+        assert sample.history["day"].shape == (1, 3, 7, 2)
+        assert sample.history["week"].shape == (1, 3, 3, 2)
+        assert sample.target.tolist() == [[3, 3, 3]]
 
     def test_no_target_leakage(self):
         windows = (24, 7, 3)
@@ -107,35 +101,38 @@ class TestSliceSample:
         series = make_series(t=600)
         grades = np.ones((series.n, series.t), dtype=int)
         with pytest.raises(ValueError, match="beyond"):
-            slice_sample(series, grades, tau=590, horizon=24)
+            enumerate_samples(series, grades, range(590, 591), horizon=24)
 
     def test_enumerate_counts(self):
         series = make_series(t=840)
         grades = np.ones((series.n, series.t), dtype=int)
-        samples = enumerate_samples(series, grades, horizon=1)
+        train, _, test = split_anchors(840, 1, (24, 7, 3), (200, 100, 36))
+        samples = enumerate_samples(series, grades,
+                                    range(train.start, test.stop), horizon=1)
         assert len(samples) == 840 - 504
-        assert samples[0].tau == 503
-        taus = [s.tau for s in samples]
+        assert samples.anchors[0] == 503
+        taus = samples.anchors.tolist()
         assert taus == sorted(taus)
 
 
 class TestSplit:
     def test_documented_partition(self):
-        samples = list(range(400))
-        train, val, test = split(samples, (240, 80, 80))
-        assert train == list(range(0, 240))
-        assert val == list(range(240, 320))
-        assert test == list(range(320, 400))
+        train, val, test = split_anchors(1008, 1, (24, 7, 3), (240, 80, 80))
+        assert train == range(503, 743)
+        assert val == range(743, 823)
+        assert test == range(823, 903)
 
     def test_insufficient_samples(self):
-        with pytest.raises(ValueError):
-            split(list(range(10)), (8, 2, 1))
+        # 11 anchors from hour 503 need targets up to hour 514
+        split_anchors(515, 1, (24, 7, 3), (8, 2, 1))
+        with pytest.raises(DataError, match="cannot hold"):
+            split_anchors(514, 1, (24, 7, 3), (8, 2, 1))
 
     def test_disjoint_and_ordered(self):
-        rng = np.random.default_rng(0)
-        samples = rng.permutation(50).tolist()
-        train, val, test = split(samples, (30, 10, 5))
-        assert train + val + test == samples[:45]
+        windows = (24, 7, 3)
+        train, val, test = split_anchors(2000, 3, windows, (30, 10, 5))
+        start = first_anchor(3, windows)
+        assert [*train, *val, *test] == list(range(start, start + 45))
 
 
 class TestMeasurementCsv:

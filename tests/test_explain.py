@@ -127,7 +127,7 @@ class TestDecouple:
 
 class TestReports:
     def test_report_from_live_forward(self, toy):
-        _, attention = forward(toy.state, [toy.sample()], toy.graphs)
+        _, attention = forward(toy.state, toy.samples(), toy.graphs)
         record = AttentionRecord(attention[0],
                                  tuple(toy.config.combination_labels()), 1)
         report = build_report(record)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ToySetup, random_symmetric, toy_config
 from roadgrade import model
-from roadgrade.data import ResolutionSample
+from roadgrade.data import Samples
 from roadgrade.errors import DataError
 from roadgrade.graphs import GraphSet, RoadNetwork, normalize_adjacency, \
     shortest_hop_matrix
@@ -127,7 +127,7 @@ class TestTemporalAttention:
 
 class TestBuildCombinations:
     def test_twelve_uniform_shapes(self, toy):
-        combos = build_combinations([toy.sample()], toy.graphs, toy.state)
+        combos = build_combinations(toy.samples(), toy.graphs, toy.state)
         n, d = toy.config.n_roads, toy.config.hidden2
         assert combos.shape == (1, 12, n, d)
 
@@ -138,21 +138,21 @@ class TestBuildCombinations:
             "r_w", "w_w", "p_w", "s_w"]
 
     def test_zeroing_pattern_graph_touches_only_pattern_combos(self, toy):
-        sample = toy.sample()
-        base = build_combinations([sample], toy.graphs, toy.state).data[0]
+        sample = toy.samples()
+        base = build_combinations(sample, toy.graphs, toy.state).data[0]
         no_pattern = GraphSet(topological=toy.graphs.topological,
                               weighted=toy.graphs.weighted,
                               pattern=np.zeros_like(toy.graphs.pattern),
                               attribute=toy.graphs.attribute)
-        changed = build_combinations([sample], no_pattern, toy.state).data[0]
+        changed = build_combinations(sample, no_pattern, toy.state).data[0]
         for idx, label in enumerate(toy.config.combination_labels()):
             same = np.array_equal(base[idx], changed[idx])
             assert same == (not label.startswith("p_"))
 
     def test_stable_across_runs(self, toy):
-        sample = toy.sample()
-        first = build_combinations([sample], toy.graphs, toy.state)
-        second = build_combinations([sample], toy.graphs, toy.state)
+        sample = toy.samples()
+        first = build_combinations(sample, toy.graphs, toy.state)
+        second = build_combinations(sample, toy.graphs, toy.state)
         assert np.array_equal(first.data, second.data)
 
 
@@ -168,7 +168,7 @@ class TestHighdimAttention:
         np.testing.assert_allclose(attn, 1.0, atol=1e-12)
 
     def test_score_tensor_shape_and_normalization(self, toy):
-        _, attn = forward(toy.state, [toy.sample()], toy.graphs)
+        _, attn = forward(toy.state, toy.samples(), toy.graphs)
         heads = toy.config.heads
         tp, d = toy.config.n_combinations, toy.config.hidden2
         assert attn.shape == (1, heads, tp, tp, d)
@@ -271,13 +271,13 @@ class TestPredict:
     def test_zero_head_predicts_lowest_grade(self, toy):
         toy.state.params["head/weight"].data[:] = 0.0
         toy.state.params["head/bias"].data[:] = 0.0
-        preds, _ = predict_many(toy.state, [toy.sample()], toy.graphs)
+        preds, _ = predict_many(toy.state, toy.samples(), toy.graphs)
         assert preds[0].tolist() == [1] * toy.config.n_roads
 
     def test_argmax_shift_invariance(self, toy):
-        sample = toy.sample()
-        preds, _ = predict_many(toy.state, [sample], toy.graphs)
-        logits = forward(toy.state, [sample], toy.graphs)[0].data[0]
+        sample = toy.samples()
+        preds, _ = predict_many(toy.state, sample, toy.graphs)
+        logits = forward(toy.state, sample, toy.graphs)[0].data[0]
         shifted = logits + np.linspace(-3, 3, logits.shape[0])[:, None]
         np.testing.assert_array_equal(np.argmax(shifted, axis=1) + 1,
                                       preds[0])
@@ -285,10 +285,11 @@ class TestPredict:
     def test_predict_many_shapes_and_mean_attention(self, toy):
         # 5 samples at batch size 4: one full chunk and one of a single sample
         assert toy.config.batch_size == 4
-        samples = [toy.sample() for _ in range(5)]
+        samples = toy.samples(5)
         preds, mean_attn = predict_many(toy.state, samples, toy.graphs)
         assert preds.shape == (5, toy.config.n_roads)
-        singles = [forward(toy.state, [s], toy.graphs) for s in samples]
+        singles = [forward(toy.state, samples.take([i]), toy.graphs)
+                   for i in range(5)]
         np.testing.assert_array_equal(
             preds, [np.argmax(logits.data[0], axis=-1) + 1
                     for logits, _ in singles])
@@ -302,8 +303,8 @@ class TestGradients:
     def test_full_model_gradcheck_small(self):
         setup = ToySetup(seed=2, n=4, grades=3, hidden=2, heads=2,
                          windows=(4, 2, 2))
-        batch = [setup.sample() for _ in range(2)]
-        targets = np.stack([s.target for s in batch])
+        batch = setup.samples(2)
+        targets = batch.target
 
         def loss_fn(_):
             logits, _ = forward(setup.state, batch, setup.graphs)
@@ -327,28 +328,27 @@ class TestNoTape:
             return logits, attn
 
         monkeypatch.setattr(model, "forward", recording_forward)
-        predict_many(toy.state, [toy.sample() for _ in range(5)], toy.graphs)
+        predict_many(toy.state, toy.samples(5), toy.graphs)
         assert len(seen) == 2
         for logits in seen:
             assert logits._parents == () and not logits.requires_grad
 
     def test_parameters_still_require_grad(self, toy):
         params = toy.state.params
-        predict_many(toy.state, [toy.sample()], toy.graphs)
+        predict_many(toy.state, toy.samples(), toy.graphs)
         assert all(params[name].requires_grad for name in params.names())
         setup = ToySetup(seed=3, epochs=2)
-        train(setup.state, [setup.sample() for _ in range(4)],
-              [setup.sample() for _ in range(2)], setup.graphs)
+        train(setup.state, setup.samples(4), setup.samples(2), setup.graphs)
         params = setup.state.params
         assert all(params[name].requires_grad for name in params.names())
-        logits, _ = forward(setup.state, [setup.sample()], setup.graphs)
+        logits, _ = forward(setup.state, setup.samples(), setup.graphs)
         assert logits.requires_grad and logits._parents
 
     def test_gradcheck_after_prediction(self):
         setup = ToySetup(seed=2, n=4, grades=3, hidden=2, heads=2,
                          windows=(4, 2, 2))
-        batch = [setup.sample() for _ in range(2)]
-        targets = np.stack([s.target for s in batch])
+        batch = setup.samples(2)
+        targets = batch.target
         predict_many(setup.state, batch, setup.graphs)
 
         def loss_fn(_):
@@ -364,11 +364,11 @@ class TestBatching:
     """One forward over a batch equals one forward per sample."""
 
     def test_sample_output_independent_of_its_batch(self, toy):
-        samples = [toy.sample() for _ in range(5)]
+        samples = toy.samples(5)
         logits, attn = forward(toy.state, samples, toy.graphs)
         assert logits.shape == (5, toy.config.n_roads, toy.config.n_grades)
-        for i, sample in enumerate(samples):
-            single_logits, single_attn = forward(toy.state, [sample],
+        for i in range(5):
+            single_logits, single_attn = forward(toy.state, samples.take([i]),
                                                  toy.graphs)
             np.testing.assert_allclose(logits.data[i], single_logits.data[0],
                                        rtol=0, atol=1e-12)
@@ -376,17 +376,17 @@ class TestBatching:
                                        atol=1e-12)
 
     def test_batch_gradient_is_mean_of_sample_gradients(self, toy):
-        samples = [toy.sample() for _ in range(4)]
+        samples = toy.samples(4)
         params = toy.state.params
 
         def gradients(batch):
             params.zero_grad()
             logits, _ = forward(toy.state, batch, toy.graphs)
-            nll_loss(logits, np.stack([s.target for s in batch])).backward()
+            nll_loss(logits, batch.target).backward()
             return params.gradients()
 
         batch_grads = gradients(samples)
-        singles = [gradients([s]) for s in samples]
+        singles = [gradients(samples.take([i])) for i in range(4)]
         for name in params.names():
             mean = np.mean([g[name] for g in singles], axis=0)
             np.testing.assert_allclose(batch_grads[name], mean, rtol=0,
@@ -425,13 +425,14 @@ class TestReceptiveField:
 
 class TestAblationTopology:
     def test_zeroed_resolutions_flow_as_zeros(self, toy):
-        sample = toy.sample()
-        hourly_only = ResolutionSample(
-            hourly=sample.hourly, daily=np.zeros_like(sample.daily),
-            weekly=np.zeros_like(sample.weekly), target=sample.target,
-            tau=sample.tau, horizon=sample.horizon)
-        base = build_combinations([sample], toy.graphs, toy.state).data[0]
-        masked = build_combinations([hourly_only], toy.graphs,
+        sample = toy.samples()
+        hourly_only = Samples(
+            {"hour": sample.history["hour"],
+             "day": np.zeros_like(sample.history["day"]),
+             "week": np.zeros_like(sample.history["week"])},
+            sample.target, sample.anchors)
+        base = build_combinations(sample, toy.graphs, toy.state).data[0]
+        masked = build_combinations(hourly_only, toy.graphs,
                                     toy.state).data[0]
         for idx, label in enumerate(toy.config.combination_labels()):
             if label.endswith("_h"):
@@ -443,23 +444,23 @@ class TestAblationTopology:
     def test_single_resolution_variant_has_four_combinations(self):
         setup = ToySetup(seed=3, resolutions=("hour",))
         assert setup.config.n_combinations == 4
-        combos = build_combinations([setup.sample()], setup.graphs,
+        combos = build_combinations(setup.samples(), setup.graphs,
                                     setup.state)
         assert combos.shape[1] == 4
-        _, attn = forward(setup.state, [setup.sample()], setup.graphs)
+        _, attn = forward(setup.state, setup.samples(), setup.graphs)
         assert attn.shape[2:4] == (4, 4)
 
 
 class TestTraining:
     def test_overfits_single_sample(self):
         setup = ToySetup(seed=4, epochs=300, lr=5e-2)
-        sample = setup.sample()
-        log = train(setup.state, [sample], [], setup.graphs)
+        sample = setup.samples()
+        log = train(setup.state, sample, [], setup.graphs)
         assert log[-1].train_loss < 0.01
 
     def test_loss_decreases_over_first_epochs(self):
         setup = ToySetup(seed=5, epochs=10, lr=2e-2)
-        samples = [setup.sample() for _ in range(8)]
+        samples = setup.samples(8)
         log = train(setup.state, samples, [], setup.graphs)
         losses = np.array([e.train_loss for e in log])
         smoothed = np.convolve(losses, np.ones(3) / 3, mode="valid")
@@ -468,8 +469,8 @@ class TestTraining:
     def test_fixed_seed_reproduces_loss_curve(self):
         def run():
             setup = ToySetup(seed=6, epochs=5)
-            samples = [setup.sample() for _ in range(6)]
-            val = [setup.sample() for _ in range(2)]
+            samples = setup.samples(6)
+            val = setup.samples(2)
             return train(setup.state, samples, val, setup.graphs)
 
         first = run()
@@ -480,19 +481,18 @@ class TestTraining:
 
     def test_best_validation_checkpoint_retained(self):
         setup = ToySetup(seed=7, epochs=12, lr=2e-2)
-        samples = [setup.sample() for _ in range(6)]
-        val = [setup.sample() for _ in range(3)]
+        samples = setup.samples(6)
+        val = setup.samples(3)
         log = train(setup.state, samples, val, setup.graphs)
         best = max(e.val_accuracy for e in log)
         preds, _ = predict_many(setup.state, val, setup.graphs)
-        truth = np.stack([s.target for s in val])
-        assert (preds == truth).mean() == pytest.approx(best)
+        assert (preds == val.target).mean() == pytest.approx(best)
 
 
 class TestCheckpoint:
     def test_round_trip_preserves_predictions(self, toy, tmp_path):
-        sample = toy.sample()
-        samples = [toy.sample() for _ in range(4)]
+        sample = toy.samples()
+        samples = toy.samples(4)
         toy.state.config = toy.config
         path = tmp_path / "ckpt.json"
         log = train(toy.state, samples, [], toy.graphs)  # touch adam state
@@ -501,8 +501,8 @@ class TestCheckpoint:
         for name in toy.state.params.names():
             np.testing.assert_array_equal(loaded.params[name].data,
                                           toy.state.params[name].data)
-        base, _ = predict_many(toy.state, [sample], toy.graphs)
-        again, _ = predict_many(loaded, [sample], toy.graphs)
+        base, _ = predict_many(toy.state, sample, toy.graphs)
+        again, _ = predict_many(loaded, sample, toy.graphs)
         np.testing.assert_array_equal(base, again)
 
     def test_config_mismatch_rejected(self, toy, tmp_path):
