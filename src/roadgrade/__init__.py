@@ -13,11 +13,11 @@ from .errors import (ConfigError, DataError, DegenerateMarginalsError,
 from .explain import (AttentionRecord, ImportanceReport, aggregate_attention,
                       build_report, combination_importance, decouple,
                       normalize_heatmap)
-from .graphs import (ConnectivityWeights, GraphSet, RoadNetwork,
-                     build_attribute_graph, build_pattern_graph,
-                     build_topological, build_weighted_topological,
-                     dtw_distance, global_morans_i, local_morans_i,
-                     normalize_adjacency, shortest_hop_matrix)
+from .graphs import (GraphSet, RoadNetwork, build_attribute_graph,
+                     build_pattern_graph, build_topological,
+                     build_weighted_topological, dtw_distance,
+                     global_morans_i, local_morans_i, normalize_adjacency,
+                     shortest_paths)
 from .grading import (GradeSeries, SomNetwork, label_series, ordinalize,
                       som_assign, som_train)
 from .metrics import (ConfusionMatrix, accuracy, grade_mae_series,

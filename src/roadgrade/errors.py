@@ -18,7 +18,7 @@ class NumericError(RoadgradeError):
 
 
 class DegenerateVarianceError(RoadgradeError):
-    """Spatial statistic undefined: the field has zero variance."""
+    """Spatial statistic undefined: a constant field or no connections."""
 
 
 class DegenerateMarginalsError(RoadgradeError):

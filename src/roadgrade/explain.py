@@ -42,6 +42,12 @@ class AttentionRecord:
             raise ValueError("attention must have shape (h, comb, comb, d)")
         if len(self.labels) != attention.shape[1]:
             raise ValueError("one label per combination required")
+        for label in self.labels:
+            if not isinstance(label, str):
+                raise ValueError(f"combination label {label!r} is not a string")
+            _split_label(label)
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("combination labels must be distinct")
         sums = attention.sum(axis=2)
         if not np.allclose(sums, 1.0, atol=1e-6):
             raise ValueError("attention is not normalized over the attended "

@@ -11,7 +11,6 @@ consumes the self-loop-augmented symmetric normalization.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,88 +53,49 @@ class RoadNetwork:
     def n(self) -> int:
         return self.lengths.size
 
-    def adjacency_lists(self) -> list[list[int]]:
-        neighbors: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        return [sorted(adj) for adj in neighbors]
-
-
-@dataclass(frozen=True)
-class ConnectivityWeights:
-    """Binary symmetric connection matrix with zero diagonal."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("connectivity matrix must be square")
-        if not np.array_equal(m, m.T) or np.any(np.diag(m) != 0):
-            raise ValueError("connectivity must be symmetric, zero diagonal")
-        if not np.all((m == 0) | (m == 1)):
-            raise ValueError("connectivity entries must be 0 or 1")
-
-    @property
-    def s0(self) -> int:
-        return int(self.matrix.sum())
-
-    @classmethod
-    def from_network(cls, net: RoadNetwork) -> "ConnectivityWeights":
-        m = np.zeros((net.n, net.n))
-        for a, b in net.edges:
-            m[a, b] = m[b, a] = 1.0
-        return cls(m)
+    def connectivity(self) -> np.ndarray:
+        """Symmetric 0/1 matrix of which roads touch, zero on the diagonal."""
+        conn = np.zeros((self.n, self.n))
+        a, b = np.array(self.edges, dtype=int).reshape(-1, 2).T
+        conn[a, b] = conn[b, a] = 1.0
+        return conn
 
 
 # -- shortest paths ------------------------------------------------------------
 
 
-def shortest_hop_matrix(net: RoadNetwork) -> np.ndarray:
-    """All-pairs minimum edge counts; unreachable pairs are +inf."""
-    n = net.n
-    neighbors = net.adjacency_lists()
-    hops = np.full((n, n), np.inf)
-    for source in range(n):
-        hops[source, source] = 0.0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in neighbors[u]:
-                if np.isinf(hops[source, v]):
-                    hops[source, v] = hops[source, u] + 1.0
-                    queue.append(v)
-    return hops
+def shortest_paths(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs hop counts and, per pair, the least total road length over
+    the hop-shortest paths, both end roads counted; +inf when unreachable.
 
-
-def _min_path_lengths(net: RoadNetwork, source: int,
-                      hops_from_source: np.ndarray) -> np.ndarray:
-    """Per target: minimum total road length over hop-shortest paths.
-
-    Path length counts every road on the path, endpoints included.
+    One breadth-first pass from every road at once, one hop layer per step:
+    a road first reached at hop k + 1 takes its own length plus the least
+    path length among its neighbors on layer k.
     """
     n = net.n
-    neighbors = net.adjacency_lists()
-    best = np.full(n, np.inf)
-    best[source] = net.lengths[source]
-    finite = np.isfinite(hops_from_source)
-    order = sorted(np.flatnonzero(finite), key=lambda v: hops_from_source[v])
-    for v in order:
-        if v == source:
-            continue
-        upstream = [u for u in neighbors[v]
-                    if hops_from_source[u] == hops_from_source[v] - 1]
-        best[v] = net.lengths[v] + min(best[u] for u in upstream)
-    return best
+    # 0 where two roads touch, +inf elsewhere: adding it keeps or drops a value
+    gate = np.where(net.connectivity() == 1.0, 0.0, np.inf)
+    hops = np.full((n, n), np.inf)
+    np.fill_diagonal(hops, 0.0)
+    path_lengths = np.where(np.eye(n, dtype=bool), net.lengths, np.inf)
+    frontier = np.eye(n, dtype=bool)   # [source, road]: road on the layer
+    hop = 0.0
+    while frontier.any():
+        layer = np.where(frontier, path_lengths, np.inf)
+        best = np.full((n, n), np.inf)
+        for u in np.flatnonzero(frontier.any(axis=0)):
+            np.minimum(best, layer[:, u, None] + gate[u], out=best)
+        hop += 1.0
+        frontier = np.isfinite(best) & np.isinf(hops)
+        hops[frontier] = hop
+        path_lengths[frontier] = (net.lengths + best)[frontier]
+    return hops, path_lengths
 
 
 def build_topological(net: RoadNetwork) -> np.ndarray:
     """Similarity = reciprocal of the hop distance; 0 when unreachable."""
-    hops = shortest_hop_matrix(net)
     with np.errstate(divide="ignore"):
-        w = np.where(np.isfinite(hops) & (hops > 0), 1.0 / hops, 0.0)
+        w = 1.0 / shortest_paths(net)[0]
     np.fill_diagonal(w, 0.0)
     return w
 
@@ -144,19 +104,12 @@ def build_weighted_topological(net: RoadNetwork) -> np.ndarray:
     """Similarity = (len_i + len_j) / total length of the hop-shortest path.
 
     Among equally short (by hops) paths the one of minimum total length is
-    used, which makes the ratio well defined; each unordered pair is computed
-    once and mirrored, so the matrix is exactly symmetric.
+    used, which makes the ratio well defined; the upper triangle is mirrored,
+    so the matrix is exactly symmetric.
     """
-    n = net.n
-    hops = shortest_hop_matrix(net)
-    w = np.zeros((n, n))
-    for i in range(n):
-        path_len = _min_path_lengths(net, i, hops[i])
-        for j in range(i + 1, n):
-            if np.isfinite(path_len[j]):
-                w[i, j] = w[j, i] = (
-                    (net.lengths[i] + net.lengths[j]) / path_len[j])
-    return w
+    lengths = net.lengths
+    w = np.triu((lengths[:, None] + lengths) / shortest_paths(net)[1], k=1)
+    return w + w.T
 
 
 # -- dynamic time warping ------------------------------------------------------
@@ -349,9 +302,6 @@ class GraphSet:
     def raw(self, key: str) -> np.ndarray:
         return getattr(self, key)
 
-    def norm(self, key: str) -> np.ndarray:
-        return self.normalized[GRAPH_KEYS.index(key)]
-
     @classmethod
     def build(cls, net: RoadNetwork, history: TrafficSeries,
               window: tuple[int, int], alpha_speed: float = 1e-2,
@@ -368,33 +318,35 @@ class GraphSet:
 # -- spatial autocorrelation ----------------------------------------------------
 
 
-def global_morans_i(x, conn: ConnectivityWeights) -> float:
-    """Global spatial autocorrelation of a per-road field."""
+def global_morans_i(x, conn: np.ndarray) -> float:
+    """Global spatial autocorrelation of a per-road field over the 0/1
+    connectivity matrix `conn`."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if n < 2 or n != conn.matrix.shape[0]:
+    if n < 2 or n != conn.shape[0]:
         raise ValueError("need >= 2 roads matching the connectivity matrix")
-    if conn.s0 == 0:
-        raise ValueError("connectivity has no connections")
+    s0 = float(conn.sum())
+    if s0 == 0.0:
+        raise DegenerateVarianceError("network has no connections")
     dev = x - x.mean()
     denom = float(dev @ dev)
     if denom == 0.0:
         raise DegenerateVarianceError("field is constant across roads")
-    numer = float(dev @ conn.matrix @ dev)
-    return (n / conn.s0) * numer / denom
+    numer = float(dev @ conn @ dev)
+    return (n / s0) * numer / denom
 
 
-def local_morans_i(x, conn: ConnectivityWeights) -> np.ndarray:
+def local_morans_i(x, conn: np.ndarray) -> np.ndarray:
     """Per-road local autocorrelation (zero for isolated roads)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if n < 2 or n != conn.matrix.shape[0]:
+    if n < 2 or n != conn.shape[0]:
         raise ValueError("need >= 2 roads matching the connectivity matrix")
     dev = x - x.mean()
     mean_sq_dev = float(dev @ dev) / n
     if mean_sq_dev == 0.0:
         raise DegenerateVarianceError("field is constant across roads")
-    return dev * (conn.matrix @ dev) / (mean_sq_dev ** 2)
+    return dev * (conn @ dev) / (mean_sq_dev ** 2)
 
 
 # -- file formats ----------------------------------------------------------------

@@ -68,10 +68,6 @@ class ModelConfig:
     def n_combinations(self) -> int:
         return len(self.resolutions) * len(GRAPH_KEYS)
 
-    @property
-    def windows(self) -> tuple[int, int, int]:
-        return (self.window_hours, self.window_days, self.window_weeks)
-
     def window(self, resolution: str) -> int:
         return {"hour": self.window_hours, "day": self.window_days,
                 "week": self.window_weeks}[resolution]

@@ -72,18 +72,16 @@ class RunConfig:
         object.__setattr__(self, "horizons", tuple(self.horizons))
         if not self.horizons or min(self.horizons) < 1:
             raise ConfigError("horizons must be positive")
-        for name in ("n_grades", "hidden1", "hidden2", "heads", "epochs",
-                     "batch_size", "train_size", "som_max_iter",
-                     "window_hours", "window_days", "window_weeks",
-                     "pattern_hours"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("seed", "val_size", "test_size"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        for name in ("synth_roads", "synth_weeks"):  # the generator's floor
-            if getattr(self, name) < 4:
-                raise ConfigError(f"{name} must be >= 4")
+        for floor, names in (
+                (0, ("seed", "val_size", "test_size")),
+                (1, ("hidden1", "hidden2", "heads", "epochs", "batch_size",
+                     "train_size", "som_max_iter", "window_hours",
+                     "window_days", "window_weeks", "pattern_hours")),
+                (2, ("n_grades",)),
+                (4, ("synth_roads", "synth_weeks"))):  # the generator's floor
+            for name in names:
+                if getattr(self, name) < floor:
+                    raise ConfigError(f"{name} must be >= {floor}")
         for name in ("learning_rate", "alpha_speed", "alpha_flow",
                      "som_learn_rate"):
             if not getattr(self, name) > 0:
@@ -196,8 +194,9 @@ def _read_graphs(cfg: RunConfig, road_ids: list[str],
     return graphs.GraphSet(**matrices)
 
 
-def _prepared(cfg: RunConfig, horizon: int):
-    """What the model stages share: the graphs read, the split's samples."""
+def _prepared(cfg: RunConfig, horizon: int, *wanted: str):
+    """What the model stages share: the graphs read, and the samples of the
+    `wanted` splits ("train", "val", "test"), in that order."""
     _, series, road_ids = load_inputs(cfg)
     splits, window = split_hours(cfg, series.t, horizon)
     normalized = data.minmax_normalize(series, window)
@@ -206,9 +205,10 @@ def _prepared(cfg: RunConfig, horizon: int):
     if start != series.start or grade_values.shape[1] != series.t:
         raise DataError(f"{grade_path} does not cover the measurement series")
     graph_set = _read_graphs(cfg, road_ids, window)
-    samples = tuple(data.enumerate_samples(normalized, grade_values, anchors,
-                                           horizon, cfg.windows)
-                    for anchors in splits)
+    anchors = dict(zip(("train", "val", "test"), splits))
+    samples = tuple(data.enumerate_samples(normalized, grade_values,
+                                           anchors[name], horizon, cfg.windows)
+                    for name in wanted)
     return series, road_ids, graph_set, samples
 
 
@@ -267,7 +267,7 @@ def run_graphs(cfg: RunConfig, horizon: int) -> list[Path]:
         path = out / f"adjacency_{key}.csv"
         graphs.write_adjacency_csv(path, graph_set.raw(key), road_ids)
         written.append(path)
-    conn = graphs.ConnectivityWeights.from_network(net)
+    conn = net.connectivity()
     report = {**_graph_inputs(cfg, window), "channels": {}}
     for channel, name in enumerate(data.CHANNEL_NAMES):
         field_values = series.values[:, window[0]:window[1], channel].mean(
@@ -321,7 +321,8 @@ def _train_and_save(cfg: RunConfig, horizon: int, n_roads: int, graph_set,
 
 
 def run_train(cfg: RunConfig, horizon: int) -> list[Path]:
-    _, road_ids, graph_set, (train_set, val_set, _) = _prepared(cfg, horizon)
+    _, road_ids, graph_set, (train_set, val_set) = _prepared(
+        cfg, horizon, "train", "val")
     _train_and_save(cfg, horizon, len(road_ids), graph_set, train_set,
                     val_set, "full")
     return [cfg.out_path(checkpoint_name(horizon)),
@@ -329,7 +330,8 @@ def run_train(cfg: RunConfig, horizon: int) -> list[Path]:
 
 
 def run_predict(cfg: RunConfig, horizon: int) -> list[Path]:
-    series, road_ids, graph_set, (_, _, test_set) = _prepared(cfg, horizon)
+    series, road_ids, graph_set, (test_set,) = _prepared(cfg, horizon,
+                                                          "test")
     if not test_set:
         raise DataError("test split is empty; nothing to predict")
     state = model.load_checkpoint(cfg.out_path(checkpoint_name(horizon)),
@@ -412,8 +414,8 @@ def run_ablate(cfg: RunConfig) -> list[Path]:
     for horizon in cfg.horizons:
         run_graphs(cfg, horizon)
         run_label(cfg, horizon)
-        _, road_ids, graph_set, splits = _prepared(cfg, horizon)
-        train_set, val_set, test_set = splits
+        _, road_ids, graph_set, (train_set, val_set, test_set) = _prepared(
+            cfg, horizon, "train", "val", "test")
         if not test_set:
             raise DataError("test split is empty; nothing to compare")
         truth = test_set.target

@@ -384,6 +384,14 @@ def _without_values(path):
     _set_json(path, payload)
 
 
+def _set_label(index, label):
+    def tamper(path):
+        payload = json.loads(path.read_text())
+        payload["labels"][index] = label
+        _set_json(path, payload)
+    return tamper
+
+
 def _per_graph_kernels(path):
     """Split each stacked GCN kernel into the per-graph entries of the
     version-2 layout, keeping the version-3 header."""
@@ -416,10 +424,14 @@ def _extra_parameter(path):
     ("explain", "attention_h1.json", _shape_off_by_one),
     ("explain", "attention_h1.json", lambda path: _set_json(path, [])),
     ("explain", "attention_h1.json", _without_values),
+    ("explain", "attention_h1.json", _set_label(0, "x_y")),
+    ("explain", "attention_h1.json", _set_label(0, 5)),
+    ("explain", "attention_h1.json", _set_label(1, "r_h")),
 ], ids=["checkpoint-no-config", "checkpoint-list",
         "checkpoint-per-graph-layout", "checkpoint-extra-parameter",
         "attention-bad-shape",
-        "attention-list", "attention-no-values"])
+        "attention-list", "attention-no-values", "attention-unknown-label",
+        "attention-label-not-string", "attention-repeated-label"])
 def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
                                          name, tamper):
     config, out = _copy_pipeline(pipeline, tmp_path)
@@ -437,7 +449,7 @@ def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
     ("heads", 3.0), ("synth_roads", 12.5), ("seed", "abc"),
     ("horizons", ["x"]), ("epochs", True), ("learning_rate", "1e-3"),
     ("synth_roads", 2), ("synth_weeks", 3), ("seed", -1), ("val_size", -1),
-    ("test_size", -5),
+    ("test_size", -5), ("n_grades", 1),
 ])
 def test_rejected_config_value_exits_1(tmp_path, capsys, key, value):
     config, _ = write_config(tmp_path, **{key: value})
@@ -480,3 +492,17 @@ def test_constant_field_marks_moran_degenerate(tmp_path):
     report = json.loads((out / "moran_report.json").read_text())
     assert report["channels"]["speed"]["degenerate"] is True
     assert report["channels"]["speed"]["global"] is None
+
+
+def test_edgeless_network_marks_moran_degenerate(tmp_path):
+    config, out = write_config(tmp_path)
+    assert main(["synth", "--config", str(config)]) == 0
+    net, ids = read_network_csv(tmp_path / "network.csv")
+    write_network_csv(tmp_path / "network.csv", RoadNetwork(net.lengths, ()),
+                      ids)
+    assert main(["graphs", "--config", str(config)]) == 0
+    report = json.loads((out / "moran_report.json").read_text())
+    for entry in report["channels"].values():
+        assert entry == {"degenerate": True,
+                         "reason": "network has no connections",
+                         "global": None, "local": None}

@@ -1,6 +1,7 @@
 """Graph construction against independent oracles, plus spatial statistics."""
 
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from hypothesis import strategies as st
 from roadgrade import graphs
 from roadgrade.data import TrafficSeries
 from roadgrade.errors import DataError, DegenerateVarianceError
-from roadgrade.graphs import (ConnectivityWeights, GraphSet, RoadNetwork,
+from roadgrade.graphs import (GRAPH_KEYS, GraphSet, RoadNetwork,
                               _pairwise_dtw, build_attribute_graph,
                               build_pattern_graph, build_topological,
                               build_weighted_topological, dtw_distance,
                               global_morans_i, local_morans_i,
                               normalize_adjacency, read_adjacency_csv,
-                              read_network_csv, shortest_hop_matrix,
+                              read_network_csv, shortest_paths,
                               write_adjacency_csv, write_network_csv)
 from roadgrade.synth import DEFAULT_START
 
@@ -59,7 +60,7 @@ def dtw_by_enumeration(a, b):
 
 def simple_paths(net, source, target):
     """All simple paths between two roads (small graphs only)."""
-    adjacency = net.adjacency_lists()
+    adjacency = [np.flatnonzero(row).tolist() for row in net.connectivity()]
     stack = [(source, [source])]
     while stack:
         node, path = stack.pop()
@@ -84,6 +85,44 @@ def weighted_topological_by_enumeration(net):
                        for p in paths if len(p) == fewest)
             w[i, j] = w[j, i] = (net.lengths[i] + net.lengths[j]) / best
     return w
+
+
+def hop_graphs_per_source(net):
+    """Both hop graphs road by road: a queue-based BFS from each source,
+    then per target the least path length over the hop-shortest paths."""
+    n = net.n
+    neighbors = [[] for _ in range(n)]
+    for a, b in net.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    hops = np.full((n, n), np.inf)
+    for source in range(n):
+        hops[source, source] = 0.0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in sorted(neighbors[u]):
+                if np.isinf(hops[source, v]):
+                    hops[source, v] = hops[source, u] + 1.0
+                    queue.append(v)
+    with np.errstate(divide="ignore"):
+        topological = np.where(np.isfinite(hops) & (hops > 0), 1.0 / hops,
+                               0.0)
+    weighted = np.zeros((n, n))
+    for i in range(n):
+        best = np.full(n, np.inf)
+        best[i] = net.lengths[i]
+        reached = np.flatnonzero(np.isfinite(hops[i]))
+        for v in sorted(reached, key=lambda v: hops[i, v]):
+            if v != i:
+                best[v] = net.lengths[v] + min(
+                    best[u] for u in neighbors[v]
+                    if hops[i, u] == hops[i, v] - 1)
+        for j in range(i + 1, n):
+            if np.isfinite(best[j]):
+                weighted[i, j] = weighted[j, i] = (
+                    (net.lengths[i] + net.lengths[j]) / best[j])
+    return topological, weighted
 
 
 def random_network(rng, n, extra_edges=2):
@@ -144,25 +183,25 @@ class TestRoadNetwork:
 class TestShortestHops:
     def test_two_hop_path(self):
         net = RoadNetwork(np.ones(3), ((0, 1), (1, 2)))
-        hops = shortest_hop_matrix(net)
+        hops = shortest_paths(net)[0]
         assert hops[0, 2] == 2
         assert hops[0, 1] == 1
 
     def test_single_road(self):
         net = RoadNetwork(np.ones(1), ())
-        assert shortest_hop_matrix(net).tolist() == [[0.0]]
+        assert shortest_paths(net)[0].tolist() == [[0.0]]
 
     def test_matches_floyd_warshall_on_random_graphs(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
             net = random_network(rng, 10)
             expected = floyd_warshall_hops(net.n, net.edges)
-            np.testing.assert_array_equal(shortest_hop_matrix(net), expected)
+            np.testing.assert_array_equal(shortest_paths(net)[0], expected)
 
     def test_symmetry_zero_diagonal_triangle_inequality(self):
         rng = np.random.default_rng(42)
         net = random_network(rng, 12, extra_edges=4)
-        hops = shortest_hop_matrix(net)
+        hops = shortest_paths(net)[0]
         np.testing.assert_array_equal(hops, hops.T)
         assert np.all(np.diag(hops) == 0)
         finite = np.isfinite(hops)
@@ -221,6 +260,24 @@ class TestWeightedTopological:
         w = build_weighted_topological(net)
         off = w[~np.eye(net.n, dtype=bool)]
         assert np.all(off > 0) and np.all(off <= 1.0)
+
+
+class TestHopGraphsAgainstPerSourceBfs:
+    def test_bitwise_equal(self):
+        rng = np.random.default_rng(21)
+        nets = [RoadNetwork(np.array([3.0]), ())]
+        for _ in range(25):
+            n = int(rng.integers(2, 16))
+            nets.append(random_network(rng, n, extra_edges=3))
+            # fewer than n - 1 edges: never connected
+            edges = [tuple(rng.choice(n, size=2, replace=False).tolist())
+                     for _ in range(int(rng.integers(0, n - 1)))]
+            nets.append(RoadNetwork(rng.uniform(0.5, 5.0, n), tuple(edges)))
+        for net in nets:
+            topological, weighted = hop_graphs_per_source(net)
+            assert build_topological(net).tobytes() == topological.tobytes()
+            assert (build_weighted_topological(net).tobytes()
+                    == weighted.tobytes())
 
 
 # -- DTW ---------------------------------------------------------------------------
@@ -460,47 +517,47 @@ class TestNormalizeAdjacency:
 
 class TestMorans:
     def test_two_node_antithetic_field(self):
-        conn = ConnectivityWeights(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        conn = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert global_morans_i([1.0, -1.0], conn) == pytest.approx(-1.0,
                                                                    abs=1e-9)
 
     def test_clustered_path_of_four(self):
         net = RoadNetwork(np.ones(4), ((0, 1), (1, 2), (2, 3)))
-        conn = ConnectivityWeights.from_network(net)
-        assert conn.s0 == 6
+        conn = net.connectivity()
+        assert conn.sum() == 6
         value = global_morans_i([1.0, 1.0, -1.0, -1.0], conn)
         assert value == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_constant_field_rejected(self):
-        conn = ConnectivityWeights(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        conn = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(DegenerateVarianceError):
             global_morans_i([2.0, 2.0], conn)
         with pytest.raises(DegenerateVarianceError):
             local_morans_i([2.0, 2.0], conn)
 
     def test_no_connections_rejected(self):
-        conn = ConnectivityWeights(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
+        conn = np.zeros((2, 2))
+        with pytest.raises(DegenerateVarianceError):
             global_morans_i([1.0, -1.0], conn)
 
     def test_local_two_node_case(self):
         # mean 0, mean squared deviation 1, each road's neighbor opposes it
-        conn = ConnectivityWeights(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        conn = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(local_morans_i([1.0, -1.0], conn),
                                    [-1.0, -1.0], atol=1e-12)
 
     def test_local_isolated_node_is_zero(self):
-        conn = ConnectivityWeights(np.array([
+        conn = np.array([
             [0.0, 1.0, 0.0],
             [1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0]]))
+            [0.0, 0.0, 0.0]])
         values = local_morans_i([1.0, -1.0, 5.0], conn)
         assert values[2] == 0.0
 
     def test_local_path_of_four_hand_values(self):
         # x = [1, 1, -1, -1]: ends reinforce their neighbor, middles cancel
         net = RoadNetwork(np.ones(4), ((0, 1), (1, 2), (2, 3)))
-        conn = ConnectivityWeights.from_network(net)
+        conn = net.connectivity()
         np.testing.assert_allclose(
             local_morans_i([1.0, 1.0, -1.0, -1.0], conn),
             [1.0, 0.0, 0.0, 1.0], atol=1e-12)
@@ -520,7 +577,7 @@ class TestGraphSetAndFiles:
             raw = graph_set.raw(key)
             np.testing.assert_array_equal(raw, raw.T)
             assert np.all(np.diag(raw) == 0)
-            norm = graph_set.norm(key)
+            norm = graph_set.normalized[GRAPH_KEYS.index(key)]
             assert np.array_equal(norm, norm.T)
             assert power_iteration_radius(norm) <= 1.0 + 1e-9
 

@@ -11,7 +11,7 @@ from roadgrade import model
 from roadgrade.data import Samples
 from roadgrade.errors import DataError
 from roadgrade.graphs import GraphSet, RoadNetwork, normalize_adjacency, \
-    shortest_hop_matrix
+    shortest_paths
 from roadgrade.model import (build_combinations, channel_fuse,
                              fc_head, forward, highdim_attention, init_state,
                              load_checkpoint, nll_loss, predict_many,
@@ -400,7 +400,7 @@ class TestReceptiveField:
             n = int(rng.integers(5, 15))
             net_edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
             net = RoadNetwork(np.ones(n), tuple(net_edges))
-            hops = shortest_hop_matrix(net)
+            hops = shortest_paths(net)[0]
             w = np.zeros((n, n))
             for a, b in net.edges:
                 w[a, b] = w[b, a] = rng.uniform(0.5, 1.5)

@@ -43,7 +43,7 @@ def _adjacency(path):
 
 def _attention(path):
     attention = np.full((1, 2, 2, 1), 0.5)
-    write_attention_record(path, AttentionRecord(attention, ("t_h", "p_h"),
+    write_attention_record(path, AttentionRecord(attention, ("r_h", "p_h"),
                                                  1))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from roadgrade.graphs import shortest_hop_matrix
+from roadgrade.graphs import shortest_paths
 from roadgrade.synth import generate_synthetic
 
 
@@ -37,7 +37,7 @@ def test_daily_period_planted_per_road():
 def test_network_is_connected():
     for seed in range(5):
         net, _ = generate_synthetic(10, 4, seed=seed)
-        assert np.all(np.isfinite(shortest_hop_matrix(net)))
+        assert np.all(np.isfinite(shortest_paths(net)[0]))
 
 
 def test_shapes_and_positivity():
