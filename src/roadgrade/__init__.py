@@ -10,18 +10,15 @@ from .data import (Samples, TrafficSeries, enumerate_samples,
                    minmax_normalize, split_anchors)
 from .errors import (ConfigError, DataError, DegenerateMarginalsError,
                      DegenerateVarianceError, NumericError, RoadgradeError)
-from .explain import (AttentionRecord, ImportanceReport, aggregate_attention,
-                      build_report, combination_importance, decouple,
-                      normalize_heatmap)
+from .explain import (AttentionRecord, aggregate_attention, build_report,
+                      combination_importance, decouple, normalize_heatmap)
 from .graphs import (GraphSet, RoadNetwork, build_attribute_graph,
                      build_pattern_graph, build_topological,
                      build_weighted_topological, dtw_distance,
                      global_morans_i, local_morans_i, normalize_adjacency,
                      shortest_paths)
-from .grading import (GradeSeries, SomNetwork, label_series, ordinalize,
-                      som_assign, som_train)
-from .metrics import (ConfusionMatrix, accuracy, grade_mae_series,
-                      quadratic_weighted_kappa)
+from .grading import label_series, ordinalize, som_assign, som_train
+from .metrics import accuracy, grade_mae_series, quadratic_weighted_kappa
 from .model import (ModelConfig, ModelState, build_combinations,
                     channel_fuse, fc_head, forward, highdim_attention,
                     init_state, load_checkpoint, nll_loss, predict_many,

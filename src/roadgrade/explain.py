@@ -17,12 +17,14 @@ import numpy as np
 from .data import read_json_object
 from .errors import DataError
 from .graphs import GRAPH_KEYS, GRAPH_LETTERS
+from .model import RESOLUTION_KEYS, RESOLUTION_LETTERS
 from .tensor import softmax
 
 TRACE_FORMAT = "roadgrade-attention"
 TRACE_VERSION = 1
 
-_RESOLUTION_BY_LETTER = {"h": "hour", "d": "day", "w": "week"}
+_RESOLUTION_BY_LETTER = {letter: key
+                         for key, letter in RESOLUTION_LETTERS.items()}
 _GRAPH_BY_LETTER = {letter: key for key, letter in GRAPH_LETTERS.items()}
 
 
@@ -97,8 +99,7 @@ def decouple(importance: np.ndarray, labels: tuple[str, ...],
         raise ValueError("importance and labels disagree")
     if axis == "resolution":
         group_of = {label: _split_label(label)[1] for label in labels}
-        order = [r for r in ("hour", "day", "week")
-                 if r in set(group_of.values())]
+        order = [r for r in RESOLUTION_KEYS if r in set(group_of.values())]
     elif axis == "graph":
         group_of = {label: _split_label(label)[0] for label in labels}
         order = [g for g in GRAPH_KEYS if g in set(group_of.values())]
@@ -112,30 +113,21 @@ def decouple(importance: np.ndarray, labels: tuple[str, ...],
     return {name: float(w) for name, w in zip(order, weights)}
 
 
-@dataclass(frozen=True)
-class ImportanceReport:
-    """All derived importance views for one prediction length."""
-
-    labels: tuple[str, ...]
-    heatmap: np.ndarray                    # normalized, cells sum to 1
-    combination: dict[str, float]
-    resolution: dict[str, float]
-    graph: dict[str, float]
-    prediction_length: int
-
-
-def build_report(record: AttentionRecord) -> ImportanceReport:
+def build_report(record: AttentionRecord) -> dict:
+    """All importance views for one prediction length, as the report file
+    holds them; the heatmap is normalized so its cells sum to 1."""
     heatmap = normalize_heatmap(aggregate_attention(record.attention))
     importance = combination_importance(heatmap)
-    return ImportanceReport(
-        labels=record.labels,
-        heatmap=heatmap,
-        combination={label: float(v)
-                     for label, v in zip(record.labels, importance)},
-        resolution=decouple(importance, record.labels, "resolution"),
-        graph=decouple(importance, record.labels, "graph"),
-        prediction_length=record.prediction_length,
-    )
+    return {
+        "prediction_length": record.prediction_length,
+        "labels": list(record.labels),
+        "heatmap": heatmap.tolist(),
+        "combination_importance": {
+            label: float(v) for label, v in zip(record.labels, importance)},
+        "resolution_importance": decouple(importance, record.labels,
+                                          "resolution"),
+        "graph_importance": decouple(importance, record.labels, "graph"),
+    }
 
 
 # -- artifacts -------------------------------------------------------------------
@@ -169,25 +161,17 @@ def read_attention_record(path) -> AttentionRecord:
             from None
 
 
-def write_report_json(path, report: ImportanceReport) -> None:
-    payload = {
-        "prediction_length": report.prediction_length,
-        "labels": list(report.labels),
-        "heatmap": [[float(v) for v in row] for row in report.heatmap],
-        "combination_importance": report.combination,
-        "resolution_importance": report.resolution,
-        "graph_importance": report.graph,
-    }
+def write_report_json(path, report: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2)
 
 
-def write_report_csv(path, report: ImportanceReport) -> None:
+def write_report_csv(path, report: dict) -> None:
     """Heatmap in long format: one (row, col, value) line per cell."""
+    labels = report["labels"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "value"])
-        for i, row_label in enumerate(report.labels):
-            for j, col_label in enumerate(report.labels):
-                writer.writerow([row_label, col_label,
-                                 repr(float(report.heatmap[i, j]))])
+        for row_label, row in zip(labels, report["heatmap"]):
+            for col_label, value in zip(labels, row):
+                writer.writerow([row_label, col_label, repr(value)])

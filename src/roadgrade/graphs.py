@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,16 @@ class RoadNetwork:
         conn[a, b] = conn[b, a] = 1.0
         return conn
 
+    @cached_property
+    def paths(self) -> tuple[np.ndarray, np.ndarray]:
+        """`shortest_paths` of this network, computed on first use only, so
+        the two hop graphs share one breadth-first pass; read-only, since
+        every later reader gets the same arrays."""
+        paths = shortest_paths(self)
+        for arr in paths:
+            arr.flags.writeable = False
+        return paths
+
 
 # -- shortest paths ------------------------------------------------------------
 
@@ -95,7 +106,7 @@ def shortest_paths(net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
 def build_topological(net: RoadNetwork) -> np.ndarray:
     """Similarity = reciprocal of the hop distance; 0 when unreachable."""
     with np.errstate(divide="ignore"):
-        w = 1.0 / shortest_paths(net)[0]
+        w = 1.0 / net.paths[0]
     np.fill_diagonal(w, 0.0)
     return w
 
@@ -108,7 +119,7 @@ def build_weighted_topological(net: RoadNetwork) -> np.ndarray:
     so the matrix is exactly symmetric.
     """
     lengths = net.lengths
-    w = np.triu((lengths[:, None] + lengths) / shortest_paths(net)[1], k=1)
+    w = np.triu((lengths[:, None] + lengths) / net.paths[1], k=1)
     return w + w.T
 
 

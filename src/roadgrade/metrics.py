@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateMarginalsError
@@ -25,30 +23,6 @@ def accuracy(pred, truth) -> float:
     return float((pred == truth).mean())
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts of (true grade, predicted grade) pairs, 1-based grades."""
-
-    counts: np.ndarray
-
-    @classmethod
-    def from_grades(cls, pred, truth, class_count: int) -> "ConfusionMatrix":
-        pred, truth = _check_pair(pred, truth)
-        pred = pred.ravel()
-        truth = truth.ravel()
-        for name, arr in (("pred", pred), ("truth", truth)):
-            if arr.min() < 1 or arr.max() > class_count:
-                raise ValueError(
-                    f"{name} grades must lie in [1, {class_count}]")
-        counts = np.zeros((class_count, class_count), dtype=np.int64)
-        np.add.at(counts, (truth - 1, pred - 1), 1)
-        return cls(counts)
-
-    @property
-    def proportions(self) -> np.ndarray:
-        return self.counts / self.counts.sum()
-
-
 def quadratic_weight_matrix(class_count: int) -> np.ndarray:
     """Agreement weights 1 - ((i - j) / (Class - 1))^2."""
     idx = np.arange(class_count)
@@ -56,9 +30,14 @@ def quadratic_weight_matrix(class_count: int) -> np.ndarray:
 
 
 def quadratic_weighted_kappa(pred, truth, class_count: int) -> float:
-    """Chance-corrected ordinal agreement in [-1, 1]."""
-    confusion = ConfusionMatrix.from_grades(pred, truth, class_count)
-    p = confusion.proportions
+    """Chance-corrected ordinal agreement in [-1, 1]; grades are 1-based."""
+    pred, truth = (arr.ravel() for arr in _check_pair(pred, truth))
+    for name, arr in (("pred", pred), ("truth", truth)):
+        if arr.min() < 1 or arr.max() > class_count:
+            raise ValueError(f"{name} grades must lie in [1, {class_count}]")
+    counts = np.zeros((class_count, class_count), dtype=np.int64)
+    np.add.at(counts, (truth - 1, pred - 1), 1)   # [true grade, predicted]
+    p = counts / counts.sum()
     w = quadratic_weight_matrix(class_count)
     p_observed = float((w * p).sum())
     marginal = np.outer(p.sum(axis=1), p.sum(axis=0))

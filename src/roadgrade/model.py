@@ -260,21 +260,18 @@ def predict_many(state: ModelState, samples: Samples,
 # -- training ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpochStats:
-    epoch: int
-    train_loss: float
-    val_accuracy: float | None
-
-
 def train(state: ModelState, train_samples: Samples, val_samples: Samples,
-          graphs: GraphSet) -> list[EpochStats]:
-    """Mini-batch Adam; retains the best-validation-accuracy parameters."""
+          graphs: GraphSet) -> list[dict]:
+    """Mini-batch Adam; retains the best-validation-accuracy parameters.
+
+    Returns one {"epoch", "train_loss", "val_accuracy"} record per epoch,
+    with val_accuracy None when there are no validation samples.
+    """
     if not train_samples:
         raise ValueError("empty training set")
     cfg = state.config
     rng = np.random.default_rng([state.seed, 1])
-    log: list[EpochStats] = []
+    log: list[dict] = []
     best_acc = -1.0
     best_values = state.params.copy_values()
     for epoch in range(1, cfg.epochs + 1):
@@ -300,7 +297,8 @@ def train(state: ModelState, train_samples: Samples, val_samples: Samples,
             if val_acc > best_acc:
                 best_acc = val_acc
                 best_values = state.params.copy_values()
-        log.append(EpochStats(epoch, epoch_loss, val_acc))
+        log.append({"epoch": epoch, "train_loss": epoch_loss,
+                    "val_accuracy": val_acc})
     if val_samples:
         state.params.load_values(best_values)
     return log

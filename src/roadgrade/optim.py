@@ -34,9 +34,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def names(self) -> list[str]:
-        return list(self.params)
-
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()

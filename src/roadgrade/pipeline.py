@@ -16,7 +16,7 @@ from . import data, explain, graphs, grading, metrics, model, synth
 from .errors import ConfigError, DataError, DegenerateVarianceError
 
 VARIANT_NAMES = {
-    "full": ("hour", "day", "week"),
+    "full": model.RESOLUTION_KEYS,
     "hourly": ("hour",),
     "daily": ("day",),
     "weekly": ("week",),
@@ -101,7 +101,7 @@ class RunConfig:
         return Path(self.out_dir) / name
 
     def model_config(self, n_roads: int,
-                     resolutions=("hour", "day", "week")) -> model.ModelConfig:
+                     resolutions=model.RESOLUTION_KEYS) -> model.ModelConfig:
         try:
             return model.ModelConfig(
                 n_roads=n_roads, n_grades=self.n_grades,
@@ -292,14 +292,14 @@ def run_label(cfg: RunConfig, horizon: int) -> list[Path]:
     _, series, road_ids = load_inputs(cfg)
     _, window = split_hours(cfg, series.t, horizon)
     normalized = data.minmax_normalize(series, window)
-    grade_series, _, _ = grading.label_series(
+    grades = grading.label_series(
         normalized.values, cfg.n_grades, seed=cfg.seed,
         learn_rate0=cfg.som_learn_rate, radius0=cfg.som_radius,
         max_iter=cfg.som_max_iter)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / grades_name(horizon)
-    data.write_grades_csv(path, grade_series.values, series.start, road_ids)
+    data.write_grades_csv(path, grades, series.start, road_ids)
     return [path]
 
 
@@ -314,8 +314,7 @@ def _train_and_save(cfg: RunConfig, horizon: int, n_roads: int, graph_set,
     _dump_json(out / training_log_name(horizon, variant), {
         "horizon": horizon,
         "variant": variant,
-        "epochs": [{"epoch": e.epoch, "train_loss": e.train_loss,
-                    "val_accuracy": e.val_accuracy} for e in log],
+        "epochs": log,
     })
     return state
 

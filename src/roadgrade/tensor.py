@@ -1,8 +1,9 @@
 """Dense tensors with reverse-mode gradients.
 
 Small, deterministic autodiff core covering exactly the operator set the
-prediction network needs: matmul, broadcast add/mul, ReLU, softmax,
-log-softmax, transpose, reshape, concatenate, slicing and reductions.
+prediction network needs: matmul, broadcast add/mul, negation, scalar
+division, ReLU, softmax, log-softmax, transpose, reshape, concatenate and
+sums.
 Arrays are float64 throughout; gradients accumulate into ``.grad``.
 """
 
@@ -130,13 +131,6 @@ class Tensor:
 
         return Tensor._node(-self.data, (a,), backward)
 
-    def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Tensor":
-        return (-self) + other
-
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self, other
@@ -184,10 +178,6 @@ class Tensor:
 
         return Tensor._node(out_data, (a,), backward)
 
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -198,16 +188,6 @@ class Tensor:
             _accumulate(grads, a, g.reshape(old_shape))
 
         return Tensor._node(self.data.reshape(shape), (a,), backward)
-
-    def __getitem__(self, index) -> "Tensor":
-        a = self
-
-        def backward(grads, g):
-            full = np.zeros_like(a.data)
-            full[index] = g
-            _accumulate(grads, a, full)
-
-        return Tensor._node(self.data[index], (a,), backward)
 
     # -- reductions ----------------------------------------------------------
 
@@ -221,10 +201,6 @@ class Tensor:
             _accumulate(grads, a, np.broadcast_to(g, a.shape).copy())
 
         return Tensor._node(out_data, (a,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / count
 
     # -- nonlinearities -------------------------------------------------------
 

@@ -195,6 +195,16 @@ class TestFailureModes:
         assert main(["train", "--config", str(config)]) == 2
         assert "grades_h1.csv" in capsys.readouterr().err
 
+    def test_diverging_som_exits_3(self, tmp_path, capsys):
+        config, out = write_config(tmp_path, som_learn_rate=1.0)
+        assert main(["synth", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["label", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert "som_learn_rate" in err and "Traceback" not in err
+        assert not (out / "grades_h1.csv").exists()
+
     def test_missing_inputs_exit_2(self, tmp_path):
         config, _ = write_config(tmp_path)
         assert main(["graphs", "--config", str(config)]) == 2

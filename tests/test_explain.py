@@ -131,12 +131,12 @@ class TestReports:
         record = AttentionRecord(attention[0],
                                  tuple(toy.config.combination_labels()), 1)
         report = build_report(record)
-        assert report.heatmap.sum() == pytest.approx(1.0, abs=1e-9)
-        assert sum(report.combination.values()) == pytest.approx(1.0,
-                                                                 abs=1e-9)
-        assert sum(report.resolution.values()) == pytest.approx(1.0,
-                                                                abs=1e-9)
-        assert sum(report.graph.values()) == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(report["heatmap"]) == pytest.approx(1.0, abs=1e-9)
+        for view in ("combination", "resolution", "graph"):
+            assert sum(report[f"{view}_importance"].values()) == \
+                pytest.approx(1.0, abs=1e-9)
+        assert list(report["resolution_importance"]) == ["hour", "day",
+                                                         "week"]
 
     def test_record_validation(self):
         bad = np.full((1, 3, 3, 2), 0.2)  # rows do not sum to one

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from roadgrade.grading import (GradeSeries, SomNetwork, label_series,
-                               ordinalize, som_assign, som_train)
+from roadgrade import grading
+from roadgrade.errors import NumericError
+from roadgrade.grading import label_series, ordinalize, som_assign, som_train
 
 
 def two_cluster_samples(rng, per_cluster=100):
@@ -17,21 +18,20 @@ def two_cluster_samples(rng, per_cluster=100):
     return samples, labels
 
 
-def som_train_numpy(samples, class_count, grid, seed, learn_rate0=0.1,
+def som_train_numpy(samples, class_count, seed, learn_rate0=0.1,
                     radius0=3.0, max_iter=200):
     """som_train as array code: one numpy update per point (the oracle)."""
-    _, cols = grid
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.0, 1.0, size=(class_count, samples.shape[1]))
-    coords = np.array([divmod(j, cols) for j in range(class_count)])
-    grid_dist = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
+    idx = np.arange(class_count)
+    strip_dist = np.abs(idx[:, None] - idx[None, :])
     t1 = max_iter / math.log(radius0)
     t2 = float(max_iter)
     for iteration in range(1, max_iter):
         radius = radius0 * math.exp(-(iteration - 1) / t1)
         rate = learn_rate0 * math.exp(-(iteration - 1) / t2)
         gain = rate * radius
-        hoods = grid_dist <= radius - 1.0
+        hoods = strip_dist <= radius - 1.0
         for x in samples:
             deltas = weights - x
             winner = int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
@@ -41,17 +41,18 @@ def som_train_numpy(samples, class_count, grid, seed, learn_rate0=0.1,
 
 
 class TestSomTrain:
-    @pytest.mark.parametrize("grid", [(1, 5), (2, 2), (2, 3)])
+    # ids kept from the 1x5, 2x2 and 2x3 grids these node counts stand for
+    @pytest.mark.parametrize("count", [5, 4, 6],
+                             ids=["grid0", "grid1", "grid2"])
     @pytest.mark.parametrize("features", [1, 2, 3])
-    def test_bitwise_equal_to_numpy_oracle(self, grid, features):
-        rng = np.random.default_rng(10 * grid[0] + grid[1] + features)
+    def test_bitwise_equal_to_numpy_oracle(self, count, features):
+        rng = np.random.default_rng(count + features)
         points = rng.uniform(0, 1, size=(30, features))
         # repeated points, and a coarse lattice where distances tie exactly
         samples = np.vstack([points, points[:10], np.round(points * 2) / 2])
-        count = grid[0] * grid[1]
-        kwargs = dict(grid=grid, seed=features, max_iter=15)
+        kwargs = dict(seed=features, max_iter=15)
         expected = som_train_numpy(samples, count, **kwargs)
-        got = som_train(samples, count, **kwargs).weights
+        got = som_train(samples, count, **kwargs)
         assert np.array_equal(got, expected)
 
     def test_distance_tie_goes_to_lowest_index(self):
@@ -59,34 +60,33 @@ class TestSomTrain:
         # the last sample, (0.75, 0.75).  In pass 2 (winner only) the first
         # sample is equally far from both, so node 0 must be the one moving.
         samples = np.array([[0.5, 0.5], [0.75, 0.75]])
-        som = som_train(samples, class_count=2, seed=5, learn_rate0=0.5,
-                        radius0=2.0, max_iter=3)
-        assert som.weights[1].tolist() == [0.75, 0.75]
-        assert np.all(som.weights[0] < 0.75)
-        assert np.array_equal(som.weights, som_train_numpy(
-            samples, 2, (1, 2), seed=5, learn_rate0=0.5, radius0=2.0,
-            max_iter=3))
+        weights = som_train(samples, class_count=2, seed=5, learn_rate0=0.5,
+                            radius0=2.0, max_iter=3)
+        assert weights[1].tolist() == [0.75, 0.75]
+        assert np.all(weights[0] < 0.75)
+        assert np.array_equal(weights, som_train_numpy(
+            samples, 2, seed=5, learn_rate0=0.5, radius0=2.0, max_iter=3))
 
     def test_constant_samples_converge_to_the_constant(self):
         target = np.array([0.3, 0.7])
         samples = np.tile(target, (50, 1))
-        som = som_train(samples, class_count=3, seed=0)
-        winner = som_assign(som, target[None, :])[0]
-        assert np.linalg.norm(som.weights[winner] - target) < 1e-3
+        weights = som_train(samples, class_count=3, seed=0)
+        winner = som_assign(weights, target[None, :])[0]
+        assert np.linalg.norm(weights[winner] - target) < 1e-3
 
     def test_unit_gain_sets_winner_to_sample(self):
         # one pass, learn_rate0 * radius0 = 1: nodes in range jump onto x
         sample = np.array([[0.25, 0.75]])
-        som = som_train(sample, class_count=2, seed=1,
-                        learn_rate0=0.5, radius0=2.0, max_iter=2)
-        winner = som_assign(som, sample)[0]
-        np.testing.assert_array_equal(som.weights[winner], sample[0])
+        weights = som_train(sample, class_count=2, seed=1,
+                            learn_rate0=0.5, radius0=2.0, max_iter=2)
+        winner = som_assign(weights, sample)[0]
+        np.testing.assert_array_equal(weights[winner], sample[0])
 
     def test_two_separated_clusters_recovered(self):
         rng = np.random.default_rng(2)
         samples, labels = two_cluster_samples(rng)
-        som = som_train(samples, class_count=2, seed=3)
-        assigned = som_assign(som, samples)
+        weights = som_train(samples, class_count=2, seed=3)
+        assigned = som_assign(weights, samples)
         agreement = (assigned == labels).mean()
         purity = max(agreement, 1.0 - agreement)
         assert purity >= 0.95
@@ -94,15 +94,13 @@ class TestSomTrain:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         samples, _ = two_cluster_samples(rng, per_cluster=30)
-        first = som_train(samples, class_count=4, grid=(2, 2), seed=9)
-        second = som_train(samples, class_count=4, grid=(2, 2), seed=9)
-        assert np.array_equal(first.weights, second.weights)
+        first = som_train(samples, class_count=4, seed=9)
+        second = som_train(samples, class_count=4, seed=9)
+        assert np.array_equal(first, second)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             som_train(np.empty((0, 2)), class_count=2)
-        with pytest.raises(ValueError):
-            som_train(np.full((4, 2), 0.5), class_count=5, grid=(2, 2))
         with pytest.raises(ValueError):
             som_train(np.full((4, 2), 1.5), class_count=2)
         with pytest.raises(ValueError):
@@ -110,60 +108,70 @@ class TestSomTrain:
         with pytest.raises(ValueError):
             som_train(np.full((4, 2), 0.5), class_count=2, max_iter=0)
 
+    def test_diverging_weights_raise_numeric_error(self):
+        # gain learn_rate0 * radius0 = 3 overshoots every sample: the weights
+        # oscillate with growing amplitude until they overflow
+        rng = np.random.default_rng(11)
+        samples = rng.uniform(0, 1, size=(1000, 2))
+        with pytest.raises(NumericError, match="som_learn_rate"):
+            som_train(samples, class_count=5, learn_rate0=1.0, max_iter=15)
+
 
 class TestSomAssign:
     def test_nearest_node_wins(self):
-        som = SomNetwork(np.array([[0.0], [1.0]]), grid=(1, 2))
-        assert som_assign(som, np.array([[0.1]]))[0] == 0
-        assert som_assign(som, np.array([[0.9]]))[0] == 1
+        weights = np.array([[0.0], [1.0]])
+        assert som_assign(weights, np.array([[0.1]]))[0] == 0
+        assert som_assign(weights, np.array([[0.9]]))[0] == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        som = SomNetwork(np.array([[0.0], [1.0]]), grid=(1, 2))
-        assert som_assign(som, np.array([[0.5]]))[0] == 0
+        weights = np.array([[0.0], [1.0]])
+        assert som_assign(weights, np.array([[0.5]]))[0] == 0
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(5)
-        som = SomNetwork(rng.uniform(0, 1, size=(6, 3)), grid=(2, 3))
+        weights = rng.uniform(0, 1, size=(6, 3))
         samples = rng.uniform(0, 1, size=(40, 3))
-        assigned = som_assign(som, samples)
+        assigned = som_assign(weights, samples)
         for sample, node in zip(samples, assigned):
-            dists = [np.sum((w - sample) ** 2) for w in som.weights]
+            dists = [np.sum((w - sample) ** 2) for w in weights]
             assert node == int(np.argmin(dists))
 
     def test_dimension_mismatch(self):
-        som = SomNetwork(np.zeros((2, 3)), grid=(1, 2))
         with pytest.raises(ValueError):
-            som_assign(som, np.zeros((4, 2)))
+            som_assign(np.zeros((2, 3)), np.zeros((4, 2)))
+
+
+def grade_nodes(weights, samples):
+    return ordinalize(weights, samples, som_assign(weights, samples))
 
 
 class TestOrdinalize:
     def test_fast_node_gets_grade_one(self):
-        som = SomNetwork(np.array([[0.2, 0.5], [0.6, 0.5]]), grid=(1, 2))
+        weights = np.array([[0.2, 0.5], [0.6, 0.5]])
         samples = np.array([[0.2, 0.5], [0.6, 0.5], [0.62, 0.5]])
-        perm = ordinalize(som, samples)
+        perm = grade_nodes(weights, samples)
         assert perm[1] == 1  # node with mean speed 0.61 is most free-flowing
         assert perm[0] == 2
 
     def test_ordered_nodes_give_identity(self):
-        som = SomNetwork(np.array([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]]),
-                         grid=(1, 3))
+        weights = np.array([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
         samples = np.array([[0.88, 0.1], [0.52, 0.5], [0.12, 0.9]])
-        np.testing.assert_array_equal(ordinalize(som, samples), [1, 2, 3])
+        np.testing.assert_array_equal(grade_nodes(weights, samples),
+                                      [1, 2, 3])
 
     def test_empty_node_falls_back_to_weight_speed(self):
         # node 2 sits far away and wins nothing; its weight decides its rank
-        som = SomNetwork(np.array([[0.9, 0.5], [0.2, 0.5], [0.55, 0.5]]),
-                         grid=(1, 3))
+        weights = np.array([[0.9, 0.5], [0.2, 0.5], [0.55, 0.5]])
         samples = np.array([[0.9, 0.5], [0.2, 0.5]])
-        assert som_assign(som, samples).tolist() == [0, 1]
-        perm = ordinalize(som, samples)
+        assert som_assign(weights, samples).tolist() == [0, 1]
+        perm = grade_nodes(weights, samples)
         assert perm.tolist() == [1, 3, 2]
 
     def test_permutation_is_bijective(self):
         rng = np.random.default_rng(7)
-        som = SomNetwork(rng.uniform(0, 1, size=(5, 2)), grid=(1, 5))
+        weights = rng.uniform(0, 1, size=(5, 2))
         samples = rng.uniform(0, 1, size=(30, 2))
-        perm = ordinalize(som, samples)
+        perm = grade_nodes(weights, samples)
         assert sorted(perm.tolist()) == [1, 2, 3, 4, 5]
 
 
@@ -173,14 +181,13 @@ class TestLabelSeries:
         congestion = rng.uniform(0, 1, size=(5, 200))
         values = np.stack([1.0 - 0.8 * congestion, 0.2 + 0.8 * congestion],
                           axis=2)
-        grades, som, perm = label_series(values, class_count=4, seed=0,
-                                         max_iter=60)
-        assert isinstance(grades, GradeSeries)
-        assert grades.values.shape == (5, 200)
-        assert grades.values.min() >= 1 and grades.values.max() <= 4
+        grades = label_series(values, class_count=4, seed=0, max_iter=60)
+        assert grades.shape == (5, 200)
+        assert grades.dtype == np.int64
+        assert grades.min() >= 1 and grades.max() <= 4
         # mean speed must not increase with the grade index
         flat_speed = values[:, :, 0].ravel()
-        flat_grade = grades.values.ravel()
+        flat_grade = grades.ravel()
         means = [flat_speed[flat_grade == g].mean()
                  for g in range(1, 5) if np.any(flat_grade == g)]
         assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
@@ -188,15 +195,28 @@ class TestLabelSeries:
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         values = rng.uniform(0, 1, size=(3, 120, 2))
-        first, _, _ = label_series(values, class_count=3, seed=5,
-                                   max_iter=40)
-        second, _, _ = label_series(values, class_count=3, seed=5,
-                                    max_iter=40)
-        assert np.array_equal(first.values, second.values)
+        first = label_series(values, class_count=3, seed=5, max_iter=40)
+        second = label_series(values, class_count=3, seed=5, max_iter=40)
+        assert np.array_equal(first, second)
 
+    @pytest.mark.parametrize("fit_hours", [None, (20, 90)])
+    def test_assigns_once_and_matches_separate_steps(self, monkeypatch,
+                                                     fit_hours):
+        rng = np.random.default_rng(12)
+        values = rng.uniform(0, 1, size=(4, 120, 2))
+        lo, hi = fit_hours or (0, 120)
+        fit = values[:, lo:hi].reshape(-1, 2)
+        weights = som_train(fit, 3, seed=2, max_iter=20)
+        perm = ordinalize(weights, fit, som_assign(weights, fit))
+        expected = perm[som_assign(weights, values.reshape(-1, 2))]
+        calls = []
 
-def test_grade_series_validation():
-    with pytest.raises(ValueError):
-        GradeSeries(np.array([[0, 1]]), class_count=2)
-    with pytest.raises(ValueError):
-        GradeSeries(np.array([[1, 3]]), class_count=2)
+        def counted(*args):
+            calls.append(args)
+            return som_assign(*args)
+
+        monkeypatch.setattr(grading, "som_assign", counted)
+        grades = label_series(values, 3, seed=2, fit_hours=fit_hours,
+                              max_iter=20)
+        assert len(calls) == 1
+        assert np.array_equal(grades, expected.reshape(4, 120))

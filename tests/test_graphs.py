@@ -581,6 +581,28 @@ class TestGraphSetAndFiles:
             assert np.array_equal(norm, norm.T)
             assert power_iteration_radius(norm) <= 1.0 + 1e-9
 
+    def test_build_runs_one_shortest_path_pass(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        net = random_network(rng, 6)
+        series = constant_series(rng.uniform(5, 90, size=(6, 24 * 8, 2)))
+        calls = []
+
+        def counted(network):
+            calls.append(network)
+            return shortest_paths(network)
+
+        monkeypatch.setattr(graphs, "shortest_paths", counted)
+        graph_set = GraphSet.build(net, series, (0, 24 * 8))
+        assert calls == [net]
+        hops, path_lengths = shortest_paths(net)
+        with np.errstate(divide="ignore"):
+            expected = 1.0 / hops
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(graph_set.topological, expected)
+        ratio = (net.lengths[:, None] + net.lengths) / path_lengths
+        upper = np.triu(ratio, k=1)
+        assert np.array_equal(graph_set.weighted, upper + upper.T)
+
     def test_network_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         net = random_network(rng, 5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadgrade.errors import DegenerateMarginalsError
-from roadgrade.metrics import (ConfusionMatrix, accuracy, grade_mae_series,
+from roadgrade.metrics import (accuracy, grade_mae_series,
                                quadratic_weight_matrix,
                                quadratic_weighted_kappa)
 
@@ -82,15 +82,25 @@ class TestKappa:
         rng = np.random.default_rng(1)
         pred = rng.integers(1, 6, size=100)
         truth = rng.integers(1, 6, size=100)
-        confusion = ConfusionMatrix.from_grades(pred, truth, 5)
-        assert confusion.counts.sum() == 100
-        acc_from_matrix = np.trace(confusion.proportions)
+        counts = np.zeros((5, 5), dtype=np.int64)
+        np.add.at(counts, (truth - 1, pred - 1), 1)
+        assert counts.sum() == 100
+        acc_from_matrix = np.trace(counts / counts.sum())
         assert accuracy(pred, truth) == pytest.approx(acc_from_matrix,
                                                       abs=1e-12)
+        # disagreement form: 1 - sum(d * observed) / sum(d * expected)
+        idx = np.arange(5)
+        d = (idx[:, None] - idx[None, :]) ** 2
+        expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / 100
+        kappa = 1.0 - (d * counts).sum() / (d * expected).sum()
+        assert quadratic_weighted_kappa(pred, truth, 5) == pytest.approx(
+            kappa, abs=1e-12)
 
     def test_grade_range_enforced(self):
         with pytest.raises(ValueError):
             quadratic_weighted_kappa([0, 1], [1, 1], 5)
+        with pytest.raises(ValueError):
+            quadratic_weighted_kappa([1, 1], [1, 6], 5)
 
 
 class TestGradeMae:

@@ -310,7 +310,7 @@ class TestGradients:
             logits, _ = forward(setup.state, batch, setup.graphs)
             return nll_loss(logits, targets)
 
-        for name in setup.state.params.names():
+        for name in setup.state.params.params:
             err = grad_check(loss_fn, setup.state.params[name], eps=1e-6)
             assert err < 1e-4, f"gradient mismatch for {name}: {err}"
 
@@ -336,11 +336,11 @@ class TestNoTape:
     def test_parameters_still_require_grad(self, toy):
         params = toy.state.params
         predict_many(toy.state, toy.samples(), toy.graphs)
-        assert all(params[name].requires_grad for name in params.names())
+        assert all(params[name].requires_grad for name in params.params)
         setup = ToySetup(seed=3, epochs=2)
         train(setup.state, setup.samples(4), setup.samples(2), setup.graphs)
         params = setup.state.params
-        assert all(params[name].requires_grad for name in params.names())
+        assert all(params[name].requires_grad for name in params.params)
         logits, _ = forward(setup.state, setup.samples(), setup.graphs)
         assert logits.requires_grad and logits._parents
 
@@ -387,7 +387,7 @@ class TestBatching:
 
         batch_grads = gradients(samples)
         singles = [gradients(samples.take([i])) for i in range(4)]
-        for name in params.names():
+        for name in params.params:
             mean = np.mean([g[name] for g in singles], axis=0)
             np.testing.assert_allclose(batch_grads[name], mean, rtol=0,
                                        atol=1e-12, err_msg=name)
@@ -456,13 +456,13 @@ class TestTraining:
         setup = ToySetup(seed=4, epochs=300, lr=5e-2)
         sample = setup.samples()
         log = train(setup.state, sample, [], setup.graphs)
-        assert log[-1].train_loss < 0.01
+        assert log[-1]["train_loss"] < 0.01
 
     def test_loss_decreases_over_first_epochs(self):
         setup = ToySetup(seed=5, epochs=10, lr=2e-2)
         samples = setup.samples(8)
         log = train(setup.state, samples, [], setup.graphs)
-        losses = np.array([e.train_loss for e in log])
+        losses = np.array([e["train_loss"] for e in log])
         smoothed = np.convolve(losses, np.ones(3) / 3, mode="valid")
         assert smoothed[-1] < smoothed[0]
 
@@ -475,16 +475,17 @@ class TestTraining:
 
         first = run()
         second = run()
-        assert [e.train_loss for e in first] == [e.train_loss for e in second]
-        assert [e.val_accuracy for e in first] == \
-            [e.val_accuracy for e in second]
+        assert [e["train_loss"] for e in first] == \
+            [e["train_loss"] for e in second]
+        assert [e["val_accuracy"] for e in first] == \
+            [e["val_accuracy"] for e in second]
 
     def test_best_validation_checkpoint_retained(self):
         setup = ToySetup(seed=7, epochs=12, lr=2e-2)
         samples = setup.samples(6)
         val = setup.samples(3)
         log = train(setup.state, samples, val, setup.graphs)
-        best = max(e.val_accuracy for e in log)
+        best = max(e["val_accuracy"] for e in log)
         preds, _ = predict_many(setup.state, val, setup.graphs)
         assert (preds == val.target).mean() == pytest.approx(best)
 
@@ -498,7 +499,7 @@ class TestCheckpoint:
         log = train(toy.state, samples, [], toy.graphs)  # touch adam state
         save_checkpoint(path, toy.state)
         loaded = load_checkpoint(path, toy.config)
-        for name in toy.state.params.names():
+        for name in toy.state.params.params:
             np.testing.assert_array_equal(loaded.params[name].data,
                                           toy.state.params[name].data)
         base, _ = predict_many(toy.state, sample, toy.graphs)

@@ -15,7 +15,7 @@ def make_params(**arrays):
 
 def test_moments_mirror_parameter_shapes():
     params = make_params(w=[[1.0, 2.0], [3.0, 4.0]], b=[0.0, 0.0])
-    for name in params.names():
+    for name in params.params:
         assert params.first_moment[name].shape == params[name].shape
         assert params.second_moment[name].shape == params[name].shape
     assert params.step == 0
