@@ -19,6 +19,8 @@ def _check_samples(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("samples must be a non-empty (count, features) array")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     return samples
 
 
@@ -27,53 +29,57 @@ def som_train(samples: np.ndarray, class_count: int, seed: int = 0,
               max_iter: int = 200) -> np.ndarray:
     """Competitive training with exponentially decaying schedules.
 
-    Returns the (class_count, features) node weights of a 1-D strip, where
-    nodes i and j lie |i - j| apart.  One iteration is a full pass over the
-    samples in order.  The winning node and every strip neighbor within the
-    current (decaying) reach move toward the sample by learn_rate * radius;
-    late iterations update the winner alone.
+    Returns the (class_count, 2) node weights of a 1-D strip, where nodes i
+    and j lie |i - j| apart, for (speed, flow) samples.  One iteration is a
+    full pass over the samples in order.  The winning node and every strip
+    neighbor within the current (decaying) reach move toward the sample by
+    learn_rate * radius, at most 1; late iterations update the winner alone.
     """
     if learn_rate0 <= 0 or max_iter <= 0:
         raise ValueError("learning rate and iteration count must be positive")
     samples = _check_samples(samples)
+    if samples.shape[1] != 2:
+        raise ValueError("samples must be (count, 2) (speed, flow) pairs")
     if np.any(samples < 0) or np.any(samples > 1):
         raise ValueError("samples must be normalized to [0, 1]")
     if radius0 <= 1.0:
         raise ValueError("initial radius must exceed 1 for the decay schedule")
+    if learn_rate0 * radius0 > 1:  # the first, largest gain overshoots
+        raise ValueError("gain learn_rate0 * radius0 must not exceed 1")
     # The decayed radius approaches 1 by construction, so membership is
     # |i - j| <= radius - 1: initially every node closer than radius0,
     # shrinking to winner-only updates late in training.  Keeping distance-1
     # neighbors in forever would make adjacent nodes identical.
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.0, 1.0, size=(class_count, samples.shape[1]))
+    weights = rng.uniform(0.0, 1.0, size=(class_count, 2))
     t1 = max_iter / math.log(radius0)
     t2 = float(max_iter)
-    # The per-point loop runs on Python floats: numpy calls on a handful of
-    # nodes cost far more than their arithmetic.  It makes the float
-    # operations of the array form in the same order (the squared distance
-    # summed feature by feature, then w + gain * (x - w)), so the weights
-    # equal those of the numpy oracle in tests/test_grading.py bit for bit.
+    # The per-point loop runs on Python float pairs: numpy calls on a
+    # handful of nodes cost far more than their arithmetic.  The weights
+    # equal those of the numpy oracle in tests/test_grading.py bit for bit:
+    # its distance 0.0 + d0 * d0 + d1 * d1 equals d0 * d0 + d1 * d1, as
+    # d0 * d0 >= 0, and both update w + gain * (x - w) per component.  Each
+    # node is paired with its neighborhood's node lists for the pass.
     nodes = weights.tolist()
     points = samples.tolist()
     for iteration in range(1, max_iter):
         radius = radius0 * math.exp(-(iteration - 1) / t1)
         rate = learn_rate0 * math.exp(-(iteration - 1) / t2)
         gain = rate * radius
-        hoods = [[j for j in range(class_count) if abs(i - j) <= radius - 1.0]
-                 for i in range(class_count)]
-        for x in points:
-            winner, best = 0, math.inf
-            for j, w in enumerate(nodes):
-                dist = 0.0
-                for wk, xk in zip(w, x):
-                    delta = wk - xk
-                    dist += delta * delta
+        hoods = [(w, [nodes[j] for j in range(class_count)
+                      if abs(i - j) <= radius - 1.0])
+                 for i, w in enumerate(nodes)]
+        for x0, x1 in points:
+            best, moved = math.inf, hoods[0][1]
+            for w, hood in hoods:
+                d0 = w[0] - x0
+                d1 = w[1] - x1
+                dist = d0 * d0 + d1 * d1
                 if dist < best:  # strict: ties go to the lowest index
-                    winner, best = j, dist
-            for j in hoods[winner]:
-                w = nodes[j]
-                for k, xk in enumerate(x):
-                    w[k] += gain * (xk - w[k])
+                    best, moved = dist, hood
+            for w in moved:
+                w[0] += gain * (x0 - w[0])
+                w[1] += gain * (x1 - w[1])
     weights = np.array(nodes)
     if not np.all(np.isfinite(weights)):
         raise NumericError("SOM weights diverged to non-finite values; "

@@ -88,6 +88,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be > 0")
         if not self.som_radius > 1:
             raise ConfigError("som_radius must be > 1")
+        if self.som_learn_rate * self.som_radius > 1:
+            raise ConfigError("som_learn_rate x som_radius (the first SOM "
+                              "pass's gain) must be <= 1")
 
     @property
     def windows(self) -> tuple[int, int, int]:

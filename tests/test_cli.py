@@ -195,14 +195,14 @@ class TestFailureModes:
         assert main(["train", "--config", str(config)]) == 2
         assert "grades_h1.csv" in capsys.readouterr().err
 
-    def test_diverging_som_exits_3(self, tmp_path, capsys):
-        config, out = write_config(tmp_path, som_learn_rate=1.0)
-        assert main(["synth", "--config", str(config)]) == 0
-        capsys.readouterr()
-        assert main(["label", "--config", str(config)]) == 3
+    def test_som_gain_above_one_exits_1(self, tmp_path, capsys):
+        # som_learn_rate 0.5 x som_radius 3.0: a first-pass gain of 1.5
+        config, out = write_config(tmp_path, som_learn_rate=0.5)
+        assert main(["label", "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("numeric failure: ") and err.count("\n") == 1
-        assert "som_learn_rate" in err and "Traceback" not in err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "som_learn_rate" in err and "som_radius" in err
+        assert "Traceback" not in err
         assert not (out / "grades_h1.csv").exists()
 
     def test_missing_inputs_exit_2(self, tmp_path):
@@ -459,7 +459,8 @@ def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
     ("heads", 3.0), ("synth_roads", 12.5), ("seed", "abc"),
     ("horizons", ["x"]), ("epochs", True), ("learning_rate", "1e-3"),
     ("synth_roads", 2), ("synth_weeks", 3), ("seed", -1), ("val_size", -1),
-    ("test_size", -5), ("n_grades", 1),
+    ("test_size", -5), ("n_grades", 1), ("som_learn_rate", 0.34),
+    ("som_radius", 12.0),
 ])
 def test_rejected_config_value_exits_1(tmp_path, capsys, key, value):
     config, _ = write_config(tmp_path, **{key: value})
