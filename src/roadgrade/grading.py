@@ -55,11 +55,11 @@ def som_train(samples: np.ndarray, class_count: int, seed: int = 0,
     t1 = max_iter / math.log(radius0)
     t2 = float(max_iter)
     # The per-point loop runs on Python float pairs: numpy calls on a
-    # handful of nodes cost far more than their arithmetic.  The weights
-    # equal those of the numpy oracle in tests/test_grading.py bit for bit:
-    # its distance 0.0 + d0 * d0 + d1 * d1 equals d0 * d0 + d1 * d1, as
-    # d0 * d0 >= 0, and both update w + gain * (x - w) per component.  Each
-    # node is paired with its neighborhood's node lists for the pass.
+    # handful of nodes cost far more than their arithmetic.  It makes the
+    # float operations of the numpy oracle in tests/test_grading.py in the
+    # same order, the distance d0 * d0 + d1 * d1 and the update
+    # w + gain * (x - w) per component, so the weights equal the oracle's
+    # bit for bit.  Each node is paired with its neighborhood's node lists.
     nodes = weights.tolist()
     points = samples.tolist()
     for iteration in range(1, max_iter):
