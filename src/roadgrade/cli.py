@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericError
 from .pipeline import (load_config, run_ablate, run_evaluate,
@@ -67,6 +68,7 @@ def _run(args) -> list:
     elif horizon < 1:
         raise ConfigError("horizon must be >= 1")
     _, runner = COMMANDS[args.command]
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     return runner(cfg, horizon)
 
 

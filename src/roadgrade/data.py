@@ -162,7 +162,7 @@ def enumerate_samples(series: TrafficSeries, grades: np.ndarray,
     return Samples(history, target, anchors)
 
 
-# -- CSV formats -----------------------------------------------------------------
+# -- file formats ----------------------------------------------------------------
 
 _MEASUREMENT_HEADER = ["road_id", "timestamp", "speed", "flow"]
 _GRADE_HEADER = ["road_id", "timestamp", "grade"]
@@ -305,6 +305,12 @@ def read_grades_csv(path, road_ids: list[str]
     return values[:, :, 0], start
 
 
+def write_json(path, payload, indent: int | None = 2) -> None:
+    """A JSON artifact with sorted keys; `indent=None` writes one line."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=indent)
+
+
 def read_json_object(path, role: str) -> dict:
     """A JSON artifact whose top level is an object."""
     try:
@@ -314,4 +320,13 @@ def read_json_object(path, role: str) -> dict:
         raise DataError(f"cannot read {role} {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise DataError(f"{path}: {role} must be a JSON object")
+    return payload
+
+
+def read_versioned(path, role: str, fmt: str, version: int) -> dict:
+    """A JSON object artifact whose `format` and `version` are `fmt` and
+    `version`."""
+    payload = read_json_object(path, role)
+    if payload.get("format") != fmt or payload.get("version") != version:
+        raise DataError(f"{path} is not a version-{version} {role}")
     return payload

@@ -9,12 +9,11 @@ graph type.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_json_object
+from .data import read_versioned, write_json
 from .errors import DataError
 from .graphs import GRAPH_KEYS, GRAPH_LETTERS
 from .model import RESOLUTION_KEYS, RESOLUTION_LETTERS
@@ -142,16 +141,12 @@ def write_attention_record(path, record: AttentionRecord) -> None:
         "shape": list(record.attention.shape),
         "values": record.attention.ravel().tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    write_json(path, payload, indent=None)
 
 
 def read_attention_record(path) -> AttentionRecord:
-    payload = read_json_object(path, "attention record")
-    if (payload.get("format") != TRACE_FORMAT
-            or payload.get("version") != TRACE_VERSION):
-        raise DataError(f"{path} is not a version-{TRACE_VERSION} "
-                        "attention record")
+    payload = read_versioned(path, "attention record", TRACE_FORMAT,
+                             TRACE_VERSION)
     try:
         attention = np.array(payload["values"]).reshape(payload["shape"])
         return AttentionRecord(attention, tuple(payload["labels"]),
@@ -159,11 +154,6 @@ def read_attention_record(path) -> AttentionRecord:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed attention record {path}: {exc!r}") \
             from None
-
-
-def write_report_json(path, report: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
 
 
 def write_report_csv(path, report: dict) -> None:

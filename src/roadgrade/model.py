@@ -14,13 +14,12 @@ resolutions, whose window widths differ, are a loop.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import Samples, read_json_object
+from .data import Samples, read_versioned, write_json
 from .errors import DataError, NumericError
 from .graphs import GraphSet, GRAPH_KEYS, GRAPH_LETTERS
 from .optim import ParamSet, adam_step
@@ -36,17 +35,17 @@ CHECKPOINT_VERSION = 3
 @dataclass(frozen=True)
 class ModelConfig:
     n_roads: int
-    n_grades: int = 5
-    hidden1: int = 32
-    hidden2: int = 32
-    heads: int = 3
-    window_hours: int = 24
-    window_days: int = 7
-    window_weeks: int = 3
-    resolutions: tuple[str, ...] = RESOLUTION_KEYS
-    learning_rate: float = 1e-3
-    batch_size: int = 16
-    epochs: int = 500
+    n_grades: int
+    hidden1: int
+    hidden2: int
+    heads: int
+    window_hours: int
+    window_days: int
+    window_weeks: int
+    resolutions: tuple[str, ...]
+    learning_rate: float
+    batch_size: int
+    epochs: int
 
     def __post_init__(self):
         object.__setattr__(self, "resolutions", tuple(self.resolutions))
@@ -327,26 +326,26 @@ def save_checkpoint(path, state: ModelState) -> None:
         "config": config,
         "params": _pack({n: p.data for n, p in state.params.params.items()}),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    write_json(path, payload, indent=None)
 
 
-def load_checkpoint(path, expected_config: ModelConfig | None = None
-                    ) -> ModelState:
-    payload = read_json_object(path, "checkpoint")
-    if (payload.get("format") != CHECKPOINT_FORMAT
-            or payload.get("version") != CHECKPOINT_VERSION):
-        raise DataError(f"{path} is not a version-{CHECKPOINT_VERSION} "
-                        "checkpoint")
+def load_checkpoint(path, expected_config: ModelConfig) -> ModelState:
+    """The state saved at `path`, whose config must be `expected_config`
+    and whose parameter values must all be finite."""
+    payload = read_versioned(path, "checkpoint", CHECKPOINT_FORMAT,
+                             CHECKPOINT_VERSION)
     try:
         raw_config = dict(payload["config"])
         raw_config["resolutions"] = tuple(raw_config["resolutions"])
-        config = ModelConfig(**raw_config)
-        if expected_config is not None and config != expected_config:
+        if ModelConfig(**raw_config) != expected_config:
             raise DataError(f"checkpoint config in {path} does not match "
                             "the requested configuration")
-        state = init_state(config, seed=payload["seed"])
-        state.params.load_values(_unpack(payload["params"]))
+        values = _unpack(payload["params"])
+        for name, value in values.items():
+            if not np.all(np.isfinite(value)):
+                raise DataError(f"{path}: parameter {name!r} is not finite")
+        state = init_state(expected_config, seed=payload["seed"])
+        state.params.load_values(values)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc!r}") from None
     return state

@@ -6,7 +6,7 @@ reruns with identical inputs and seed write byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -69,6 +69,8 @@ class RunConfig:
                     or any(type(item) not in allowed for item in items)):
                 what = f"a list of {kind.__name__}" if many else kind.__name__
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         object.__setattr__(self, "horizons", tuple(self.horizons))
         if not self.horizons or min(self.horizons) < 1:
             raise ConfigError("horizons must be positive")
@@ -203,7 +205,7 @@ def _prepared(cfg: RunConfig, horizon: int, *wanted: str):
     _, series, road_ids = load_inputs(cfg)
     splits, window = split_hours(cfg, series.t, horizon)
     normalized = data.minmax_normalize(series, window)
-    grade_path = cfg.out_path(grades_name(horizon))
+    grade_path = artifact(cfg, "grades", horizon, "csv")
     grade_values, start = _read_grades(grade_path, road_ids, cfg.n_grades)
     if start != series.start or grade_values.shape[1] != series.t:
         raise DataError(f"{grade_path} does not cover the measurement series")
@@ -218,29 +220,13 @@ def _prepared(cfg: RunConfig, horizon: int, *wanted: str):
 # -- artifact names ---------------------------------------------------------------
 
 
-def grades_name(horizon: int) -> str:
-    return f"grades_h{horizon}.csv"
-
-
-def predictions_name(horizon: int) -> str:
-    return f"predictions_h{horizon}.csv"
-
-
-def _variant_suffix(variant: str) -> str:
-    return "" if variant == "full" else f"_{variant}"
-
-
-def checkpoint_name(horizon: int, variant: str = "full") -> str:
-    return f"checkpoint_h{horizon}{_variant_suffix(variant)}.json"
-
-
-def training_log_name(horizon: int, variant: str = "full") -> str:
-    return f"training_log_h{horizon}{_variant_suffix(variant)}.json"
-
-
-def _dump_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+def artifact(cfg: RunConfig, stem: str, horizon: int, ext: str,
+             variant: str = "full") -> Path:
+    """The path of a per-horizon artifact: `<stem>_h<horizon>.<ext>` in the
+    output directory, with `_<variant>` before the extension for an
+    ablation variant other than the full model."""
+    suffix = "" if variant == "full" else f"_{variant}"
+    return cfg.out_path(f"{stem}_h{horizon}{suffix}.{ext}")
 
 
 # -- commands ----------------------------------------------------------------------
@@ -263,11 +249,9 @@ def run_graphs(cfg: RunConfig, horizon: int) -> list[Path]:
     graph_set = graphs.GraphSet.build(
         net, series, window, alpha_speed=cfg.alpha_speed,
         alpha_flow=cfg.alpha_flow, pattern_hours=cfg.pattern_hours)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     for key in graphs.GRAPH_KEYS:
-        path = out / f"adjacency_{key}.csv"
+        path = cfg.out_path(f"adjacency_{key}.csv")
         graphs.write_adjacency_csv(path, graph_set.raw(key), road_ids)
         written.append(path)
     conn = net.connectivity()
@@ -285,8 +269,8 @@ def run_graphs(cfg: RunConfig, horizon: int) -> list[Path]:
             entry = {"degenerate": True, "reason": str(exc),
                      "global": None, "local": None}
         report["channels"][name] = entry
-    report_path = out / "moran_report.json"
-    _dump_json(report_path, report)
+    report_path = cfg.out_path("moran_report.json")
+    data.write_json(report_path, report)
     written.append(report_path)
     return written
 
@@ -299,9 +283,7 @@ def run_label(cfg: RunConfig, horizon: int) -> list[Path]:
         normalized.values, cfg.n_grades, seed=cfg.seed,
         learn_rate0=cfg.som_learn_rate, radius0=cfg.som_radius,
         max_iter=cfg.som_max_iter)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / grades_name(horizon)
+    path = artifact(cfg, "grades", horizon, "csv")
     data.write_grades_csv(path, grades, series.start, road_ids)
     return [path]
 
@@ -311,10 +293,9 @@ def _train_and_save(cfg: RunConfig, horizon: int, n_roads: int, graph_set,
     resolutions = VARIANT_NAMES[variant]
     state = model.init_state(cfg.model_config(n_roads, resolutions), cfg.seed)
     log = model.train(state, train_set, val_set, graph_set)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model.save_checkpoint(out / checkpoint_name(horizon, variant), state)
-    _dump_json(out / training_log_name(horizon, variant), {
+    model.save_checkpoint(artifact(cfg, "checkpoint", horizon, "json",
+                                   variant), state)
+    data.write_json(artifact(cfg, "training_log", horizon, "json", variant), {
         "horizon": horizon,
         "variant": variant,
         "epochs": log,
@@ -327,8 +308,8 @@ def run_train(cfg: RunConfig, horizon: int) -> list[Path]:
         cfg, horizon, "train", "val")
     _train_and_save(cfg, horizon, len(road_ids), graph_set, train_set,
                     val_set, "full")
-    return [cfg.out_path(checkpoint_name(horizon)),
-            cfg.out_path(training_log_name(horizon))]
+    return [artifact(cfg, stem, horizon, "json")
+            for stem in ("checkpoint", "training_log")]
 
 
 def run_predict(cfg: RunConfig, horizon: int) -> list[Path]:
@@ -336,18 +317,16 @@ def run_predict(cfg: RunConfig, horizon: int) -> list[Path]:
                                                           "test")
     if not test_set:
         raise DataError("test split is empty; nothing to predict")
-    state = model.load_checkpoint(cfg.out_path(checkpoint_name(horizon)),
+    state = model.load_checkpoint(artifact(cfg, "checkpoint", horizon, "json"),
                                   cfg.model_config(len(road_ids)))
     preds, mean_attention = model.predict_many(state, test_set, graph_set)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pred_path = out / predictions_name(horizon)
+    pred_path = artifact(cfg, "predictions", horizon, "csv")
     first_target = int(test_set.anchors[0]) + horizon
     data.write_grades_csv(pred_path, preds.T, series.timestamp(first_target),
                           road_ids)
     record = explain.AttentionRecord(
         mean_attention, tuple(state.config.combination_labels()), horizon)
-    trace_path = out / f"attention_h{horizon}.json"
+    trace_path = artifact(cfg, "attention", horizon, "json")
     explain.write_attention_record(trace_path, record)
     return [pred_path, trace_path]
 
@@ -357,9 +336,9 @@ def run_evaluate(cfg: RunConfig, horizon: int) -> list[Path]:
     if cfg.test_size < 1:
         raise DataError("test split is empty; nothing to evaluate")
     _, road_ids = graphs.read_network_csv(cfg.network)
-    grade_path = cfg.out_path(grades_name(horizon))
+    grade_path = artifact(cfg, "grades", horizon, "csv")
     grade_values, start = _read_grades(grade_path, road_ids, cfg.n_grades)
-    pred_path = cfg.out_path(predictions_name(horizon))
+    pred_path = artifact(cfg, "predictions", horizon, "csv")
     preds, pred_start = _read_grades(pred_path, road_ids, cfg.n_grades)
     try:
         _, _, test = data.split_anchors(grade_values.shape[1], horizon,
@@ -381,11 +360,9 @@ def run_evaluate(cfg: RunConfig, horizon: int) -> list[Path]:
             preds, truth, cfg.n_grades),
         "mae_series": mae.tolist(),
     }
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    metrics_path = out / f"metrics_h{horizon}.json"
-    _dump_json(metrics_path, payload)
-    mae_path = out / f"mae_series_h{horizon}.csv"
+    metrics_path = artifact(cfg, "metrics", horizon, "json")
+    data.write_json(metrics_path, payload)
+    mae_path = artifact(cfg, "mae_series", horizon, "csv")
     with open(mae_path, "w", newline="") as fh:
         fh.write("timestamp,grade_mae\n")
         for offset, value in enumerate(mae):
@@ -396,12 +373,11 @@ def run_evaluate(cfg: RunConfig, horizon: int) -> list[Path]:
 
 def run_explain(cfg: RunConfig, horizon: int) -> list[Path]:
     record = explain.read_attention_record(
-        cfg.out_path(f"attention_h{horizon}.json"))
+        artifact(cfg, "attention", horizon, "json"))
     report = explain.build_report(record)
-    out = Path(cfg.out_dir)
-    json_path = out / f"importance_h{horizon}.json"
-    csv_path = out / f"importance_h{horizon}.csv"
-    explain.write_report_json(json_path, report)
+    json_path = artifact(cfg, "importance", horizon, "json")
+    csv_path = artifact(cfg, "importance", horizon, "csv")
+    data.write_json(json_path, report)
     explain.write_report_csv(csv_path, report)
     return [json_path, csv_path]
 
@@ -432,11 +408,9 @@ def run_ablate(cfg: RunConfig) -> list[Path]:
                 "kappa": metrics.quadratic_weighted_kappa(
                     preds, truth, cfg.n_grades),
             })
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "ablation.json"
-    _dump_json(json_path, {"rows": rows})
-    csv_path = out / "ablation.csv"
+    json_path = cfg.out_path("ablation.json")
+    data.write_json(json_path, {"rows": rows})
+    csv_path = cfg.out_path("ablation.csv")
     with open(csv_path, "w", newline="") as fh:
         fh.write("variant,horizon,accuracy,kappa\n")
         for row in rows:

@@ -269,7 +269,7 @@ def _check_softmax_input(values: Array) -> None:
     if values.size == 0:
         raise ValueError("softmax input must be non-empty")
     if not np.all(np.isfinite(values)):
-        raise ValueError("softmax input must be finite")
+        raise NumericError("softmax input must be finite")
 
 
 def softmax(values, axis: int = -1) -> Array:

@@ -424,6 +424,16 @@ def _extra_parameter(path):
     _set_json(path, payload)
 
 
+def _set_parameter(name, value):
+    """Put `value` (NaN or inf, which json writes as bare tokens) into the
+    first entry of checkpoint parameter `name`."""
+    def tamper(path):
+        payload = json.loads(path.read_text())
+        payload["params"][name]["values"][0] = value
+        _set_json(path, payload)
+    return tamper
+
+
 @pytest.mark.parametrize("command, name, tamper", [
     ("predict", "checkpoint_h1.json",
      lambda path: _set_json(path, {"format": "roadgrade-checkpoint",
@@ -431,6 +441,9 @@ def _extra_parameter(path):
     ("predict", "checkpoint_h1.json", lambda path: _set_json(path, [1, 2])),
     ("predict", "checkpoint_h1.json", _per_graph_kernels),
     ("predict", "checkpoint_h1.json", _extra_parameter),
+    ("predict", "checkpoint_h1.json", _set_parameter("attn/query", np.nan)),
+    ("predict", "checkpoint_h1.json", _set_parameter("head/bias", np.nan)),
+    ("predict", "checkpoint_h1.json", _set_parameter("head/bias", -np.inf)),
     ("explain", "attention_h1.json", _shape_off_by_one),
     ("explain", "attention_h1.json", lambda path: _set_json(path, [])),
     ("explain", "attention_h1.json", _without_values),
@@ -439,6 +452,7 @@ def _extra_parameter(path):
     ("explain", "attention_h1.json", _set_label(1, "r_h")),
 ], ids=["checkpoint-no-config", "checkpoint-list",
         "checkpoint-per-graph-layout", "checkpoint-extra-parameter",
+        "checkpoint-nan-query", "checkpoint-nan-bias", "checkpoint-inf-bias",
         "attention-bad-shape",
         "attention-list", "attention-no-values", "attention-unknown-label",
         "attention-label-not-string", "attention-repeated-label"])
@@ -451,6 +465,15 @@ def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
     assert name in err and "Traceback" not in err
 
 
+def test_diverging_training_exits_3(pipeline, tmp_path, capsys):
+    config, _ = _copy_pipeline(pipeline, tmp_path, learning_rate=1.0e300)
+    with pytest.warns(RuntimeWarning):  # numpy's overflow on the way
+        assert main(["train", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("som_radius", 1.0), ("som_learn_rate", 0), ("learning_rate", 0),
     ("alpha_speed", 0), ("alpha_flow", 0), ("window_hours", 0),
@@ -460,7 +483,8 @@ def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
     ("horizons", ["x"]), ("epochs", True), ("learning_rate", "1e-3"),
     ("synth_roads", 2), ("synth_weeks", 3), ("seed", -1), ("val_size", -1),
     ("test_size", -5), ("n_grades", 1), ("som_learn_rate", 0.34),
-    ("som_radius", 12.0),
+    ("som_radius", 12.0), ("alpha_speed", float("inf")),
+    ("alpha_flow", float("inf")), ("learning_rate", float("inf")),
 ])
 def test_rejected_config_value_exits_1(tmp_path, capsys, key, value):
     config, _ = write_config(tmp_path, **{key: value})

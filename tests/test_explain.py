@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from roadgrade.data import write_json
 from roadgrade.errors import DataError
 from roadgrade.explain import (AttentionRecord, aggregate_attention,
                                build_report, combination_importance, decouple,
                                normalize_heatmap, read_attention_record,
-                               write_attention_record, write_report_csv,
-                               write_report_json)
+                               write_attention_record, write_report_csv)
 from roadgrade.model import forward
 
 LABELS12 = ("r_h", "w_h", "p_h", "s_h",
@@ -168,8 +168,8 @@ class TestReports:
         report = build_report(record)
         first_json = tmp_path / "a.json"
         second_json = tmp_path / "b.json"
-        write_report_json(first_json, report)
-        write_report_json(second_json, build_report(record))
+        write_json(first_json, report)
+        write_json(second_json, build_report(record))
         assert first_json.read_bytes() == second_json.read_bytes()
         first_csv = tmp_path / "a.csv"
         write_report_csv(first_csv, report)

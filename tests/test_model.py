@@ -524,8 +524,8 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="version-3"):
             load_checkpoint(path, toy.config)
 
-    def test_garbage_file_rejected(self, tmp_path):
+    def test_garbage_file_rejected(self, toy, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
         with pytest.raises(DataError):
-            load_checkpoint(path)
+            load_checkpoint(path, toy.config)

@@ -47,9 +47,9 @@ class TestSoftmax:
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
             softmax([])
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             softmax([1.0, float("nan")])
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             log_softmax([float("inf")])
 
 
