@@ -68,7 +68,11 @@ def _run(args) -> list:
     elif horizon < 1:
         raise ConfigError("horizon must be >= 1")
     _, runner = COMMANDS[args.command]
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a regular file of that name exists
+        raise ConfigError(f"cannot create out_dir {cfg.out_dir}: "
+                          f"{exc.strerror}") from None
     return runner(cfg, horizon)
 
 

@@ -306,9 +306,10 @@ def read_grades_csv(path, road_ids: list[str]
 
 
 def write_json(path, payload, indent: int | None = 2) -> None:
-    """A JSON artifact with sorted keys; `indent=None` writes one line."""
+    """A JSON artifact with sorted keys; `indent=None` writes one line,
+    built by the C encoder, which `json.dump` to a file never uses."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=indent)
+        fh.write(json.dumps(payload, sort_keys=True, indent=indent))
 
 
 def read_json_object(path, role: str) -> dict:

@@ -143,28 +143,44 @@ def dtw_distance(a, b) -> float:
     return float(table[n, m])
 
 
-def _pairwise_dtw(seqs: np.ndarray) -> np.ndarray:
+def _dtw_workspace(length: int, rows: int) -> list[np.ndarray]:
+    """The working arrays of `_pairwise_dtw` for up to `rows` rows of
+    `length`: first, second, prev, cur, cost and best."""
+    return [np.empty((length + extra, rows)) for extra in (0, 0, 1, 1, 0, 0)]
+
+
+def _pairwise_dtw(seqs: np.ndarray,
+                  workspace: list[np.ndarray] | None = None) -> np.ndarray:
     """DTW distance between every pair of rows of `seqs`: (..., N, L) to
     (..., N, N), zero on the diagonal.
 
     One dynamic program over all unordered pairs of every leading index at
     once.  It is laid out (L + 1, rows), so each step works on contiguous
     rows, and uses only abs, min and +, so it agrees exactly with
-    dtw_distance on each pair.
+    dtw_distance on each pair.  A given `workspace` lets repeated calls
+    reuse their working memory; the result does not depend on it.
     """
     *batch, n, length = seqs.shape
     out = np.zeros((*batch, n, n))
     if n < 2:
         return out
     ii, jj = np.triu_indices(n, k=1)
-    # (L, rows): step r of the first sequence and every step of the second
-    first = np.moveaxis(seqs[..., ii, :], -1, 0).reshape(length, -1)
-    second = np.moveaxis(seqs[..., jj, :], -1, 0).reshape(length, -1)
-    prev = np.full((length + 1, first.shape[1]), np.inf)
+    rows = ii.size * int(np.prod(batch))
+    if workspace is None:
+        workspace = _dtw_workspace(length, rows)
+    # (L, rows): step r of the first sequence and every step of the second;
+    # (L + 1, rows): the previous and the current row of the DP table.
+    # Fewer rows than the workspace holds use the front of each array.
+    first, second, prev, cur, cost, best = (
+        array.ravel()[:array.shape[0] * rows].reshape(-1, rows)
+        for array in workspace)
+    steps = np.moveaxis(seqs, -1, 0)                # (L, ..., N)
+    for target, index in ((first, ii), (second, jj)):
+        # mode "clip" fills `out` directly; "raise" fills a copy of it
+        np.take(steps, index, axis=-1, mode="clip",
+                out=target.reshape(length, *batch, ii.size))
     prev[0] = 0.0
-    cur = np.empty_like(prev)
-    cost = np.empty_like(second)
-    best = np.empty_like(second)
+    prev[1:] = np.inf
     for r in range(length):
         np.abs(np.subtract(first[r], second, out=cost), out=cost)
         # the moves from the previous row need no loop, only the one along
@@ -215,9 +231,12 @@ def build_pattern_graph(history: TrafficSeries, alpha_speed: float,
     neg_alphas = -np.array([alpha_speed, alpha_flow])[:, None, None]
     rows_per_anchor = max(1, len(neg_alphas) * n * (n - 1) // 2)
     step = max(1, DTW_CHUNK_ROWS // rows_per_anchor)
+    workspace = _dtw_workspace(pattern_hours,
+                               min(step, n_anchors) * rows_per_anchor)
     total = np.zeros((n, n))
     for lo in range(0, n_anchors, step):
-        kernels = np.exp(neg_alphas * _pairwise_dtw(histories[lo:lo + step]))
+        kernels = np.exp(neg_alphas * _pairwise_dtw(histories[lo:lo + step],
+                                                    workspace))
         # anchor by anchor, speed + flow, as a per-anchor loop would add
         for speed, flow in kernels:
             total += (speed + flow) / len(neg_alphas)

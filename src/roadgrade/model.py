@@ -23,7 +23,7 @@ from .data import Samples, read_versioned, write_json
 from .errors import DataError, NumericError
 from .graphs import GraphSet, GRAPH_KEYS, GRAPH_LETTERS
 from .optim import ParamSet, adam_step
-from .tensor import Tensor, concat, glorot_uniform
+from .tensor import Tensor, attention, concat, glorot_uniform
 
 RESOLUTION_KEYS = ("hour", "day", "week")
 RESOLUTION_LETTERS = {"hour": "h", "day": "d", "week": "w"}
@@ -146,9 +146,8 @@ def temporal_attention(x: Tensor) -> Tensor:
     n_roads = x.shape[-2]
     swap = (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2)
     seq = x.transpose(swap)                      # (..., d, roads)
-    scores = (seq @ x) / math.sqrt(n_roads)
-    weights = scores.softmax(axis=-1)
-    return (weights @ seq).transpose(swap)
+    mixed, _ = attention(seq, x, seq, 1.0 / math.sqrt(n_roads))
+    return mixed.transpose(swap)
 
 
 def build_combinations(samples: Samples, graphs: GraphSet,
@@ -194,10 +193,10 @@ def highdim_attention(x: Tensor, state: ModelState
     q = project_and_split("attn/query", (0, 2, 4, 1, 3))  # (b, h, d, tp, blk)
     k = project_and_split("attn/key", (0, 2, 4, 3, 1))    # (b, h, d, blk, tp)
     v = project_and_split("attn/value", (0, 2, 4, 1, 3))  # (b, h, d, tp, blk)
-    attn = ((q @ k) / math.sqrt(block)).softmax(axis=-1)  # (b, h, d, tp, tp)
-    mixed = (attn @ v).transpose((0, 3, 1, 4, 2)).reshape(b, tp, n, d)
+    mixed, attn = attention(q, k, v, 1.0 / math.sqrt(block))
+    mixed = mixed.transpose((0, 3, 1, 4, 2)).reshape(b, tp, n, d)
     fused = params["attn/output"] @ mixed
-    return fused, np.moveaxis(attn.data, 2, -1)
+    return fused, np.moveaxis(attn, 2, -1)
 
 
 def fc_head(x_fused: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -259,6 +258,8 @@ def predict_many(state: ModelState, samples: Samples,
 # -- training ----------------------------------------------------------------------
 
 
+# divergence is NumericError from the finite checks, not a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def train(state: ModelState, train_samples: Samples, val_samples: Samples,
           graphs: GraphSet) -> list[dict]:
     """Mini-batch Adam; retains the best-validation-accuracy parameters.

@@ -2,8 +2,8 @@
 
 Small, deterministic autodiff core covering exactly the operator set the
 prediction network needs: matmul, broadcast add/mul, negation, scalar
-division, ReLU, softmax, log-softmax, transpose, reshape, concatenate and
-sums.
+division, ReLU, log-softmax, transpose, reshape, concatenate, sums and
+attention, softmax((q @ k) * scale) @ v as one node.
 Arrays are float64 throughout; gradients accumulate into ``.grad``.
 """
 
@@ -213,16 +213,6 @@ class Tensor:
 
         return Tensor._node(np.where(mask, self.data, 0.0), (a,), backward)
 
-    def softmax(self, axis: int = -1) -> "Tensor":
-        a = self
-        out_data = softmax(self.data, axis=axis)
-
-        def backward(grads, g):
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            _accumulate(grads, a, out_data * (g - inner))
-
-        return Tensor._node(out_data, (a,), backward)
-
     def log_softmax(self, axis: int = -1) -> "Tensor":
         a = self
         out_data = log_softmax(self.data, axis=axis)
@@ -260,6 +250,36 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             _accumulate(grads, tensor, g[tuple(index)])
 
     return Tensor._node(out_data, parts, backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor,
+              scale: float) -> tuple[Tensor, Array]:
+    """softmax((q @ k) * scale, axis=-1) @ v as one node, and the weights,
+    which its backward reads: callers must not write to them.
+
+    Weights and score gradient each live in one buffer, updated in place in
+    the order of a matmul, mul, softmax, matmul chain of nodes, so values
+    and gradients are bitwise that chain's."""
+    w = q.data @ k.data
+    w *= scale
+    _check_softmax_input(w)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def backward(grads, g):
+        # every operand of the model's two calls needs its gradient
+        dv = np.swapaxes(w, -1, -2) @ g
+        ds = g @ np.swapaxes(v.data, -1, -2)
+        ds -= (ds * w).sum(axis=-1, keepdims=True)
+        ds *= w
+        ds *= scale
+        dq = ds @ np.swapaxes(k.data, -1, -2)
+        dk = np.swapaxes(q.data, -1, -2) @ ds
+        for node, grad in ((q, dq), (k, dk), (v, dv)):
+            _accumulate(grads, node, _unbroadcast(grad, node.shape))
+
+    return Tensor._node(w @ v.data, (q, k, v), backward), w
 
 
 # -- plain ndarray softmax primitives -----------------------------------------

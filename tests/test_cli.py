@@ -467,8 +467,7 @@ def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
 
 def test_diverging_training_exits_3(pipeline, tmp_path, capsys):
     config, _ = _copy_pipeline(pipeline, tmp_path, learning_rate=1.0e300)
-    with pytest.warns(RuntimeWarning):  # numpy's overflow on the way
-        assert main(["train", "--config", str(config)]) == 3
+    assert main(["train", "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -508,6 +507,19 @@ class TestOverrides:
         assert main(["graphs", "--config", str(config),
                      "--out", str(other)]) == 0
         assert (other / "moran_report.json").exists()
+
+    @pytest.mark.parametrize("command, by_flag", [
+        ("synth", True), ("synth", False), ("train", True)])
+    def test_out_dir_naming_a_file_exits_1(self, tmp_path, capsys, command,
+                                           by_flag):
+        config, out = write_config(tmp_path)
+        afile = tmp_path / "afile" if by_flag else out
+        afile.write_text("not a directory\n")
+        flags = ["--out", str(afile)] if by_flag else []
+        assert main([command, "--config", str(config), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(afile) in err and "Traceback" not in err
 
 
 def test_constant_field_marks_moran_degenerate(tmp_path):

@@ -330,6 +330,18 @@ class TestDtw:
                 assert batch[idx][i, j] == expected
                 assert batch[idx][j, i] == expected
 
+    def test_pairwise_reused_workspace_is_bitwise_fresh(self):
+        # a workspace sized for the first call and full of NaN, then reused
+        # by a call with fewer rows, as by the last chunk of a pattern graph
+        rng = np.random.default_rng(4)
+        seqs = rng.normal(size=(3, 2, 5, 6))
+        workspace = graphs._dtw_workspace(6, 3 * 2 * 10)
+        for array in workspace:
+            array.fill(np.nan)
+        for chunk in (seqs, seqs[1:2], seqs[:, :, ::-1], seqs[:1, :1]):
+            assert np.array_equal(_pairwise_dtw(chunk, workspace),
+                                  _pairwise_dtw(chunk))
+
     def test_pairwise_single_sequence_is_zero(self):
         assert np.array_equal(_pairwise_dtw(np.ones((4, 1, 3))),
                               np.zeros((4, 1, 1)))

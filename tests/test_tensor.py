@@ -1,4 +1,5 @@
-"""Core tensor ops: softmax primitives, gradients, grad_check itself."""
+"""Core tensor ops: softmax primitives, gradients, the attention node,
+grad_check itself."""
 
 import math
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadgrade.errors import NumericError
-from roadgrade.tensor import (Tensor, concat, glorot_uniform, grad_check,
-                              log_softmax, softmax)
+from roadgrade.optim import ParamSet
+from roadgrade.tensor import (Tensor, attention, concat, glorot_uniform,
+                              grad_check, log_softmax, softmax)
 
 
 class TestSoftmax:
@@ -137,11 +139,14 @@ class TestOperatorGradients:
         np.testing.assert_array_equal(p.grad, [0.0, 1.0])
 
     def test_softmax_grad(self):
+        # identity keys and values make attention return softmax(point)
         rng = np.random.default_rng(4)
         point = _rand(rng, 2, 5)
         weights = Tensor(rng.standard_normal((2, 5)))
+        eye = Tensor(np.eye(5))
         assert grad_check(
-            lambda p: (p.softmax(axis=-1) * weights).sum(), point) < 1e-6
+            lambda p: (attention(p, eye, eye, 1.0)[0] * weights).sum(),
+            point) < 1e-6
 
     def test_log_softmax_grad(self):
         rng = np.random.default_rng(5)
@@ -151,11 +156,18 @@ class TestOperatorGradients:
             lambda p: (p.log_softmax(axis=-1) * weights).sum(), point) < 1e-6
 
     def test_softmax_axis_grad(self):
+        # softmax over axis 1: that axis is moved last, and the identity
+        # keys and values broadcast over the leading axis
         rng = np.random.default_rng(6)
         point = _rand(rng, 2, 3, 4)
         weights = Tensor(rng.standard_normal((2, 3, 4)))
-        assert grad_check(
-            lambda p: (p.softmax(axis=1) * weights).sum(), point) < 1e-6
+        eye = Tensor(np.eye(3))
+
+        def f(p):
+            probs = attention(p.transpose((0, 2, 1)), eye, eye, 1.0)[0]
+            return (probs.transpose((0, 2, 1)) * weights).sum()
+
+        assert grad_check(f, point) < 1e-6
 
     def test_transpose_and_reshape(self):
         rng = np.random.default_rng(7)
@@ -226,11 +238,94 @@ class TestOperatorGradients:
 
         def f(p):
             a = (p @ mix).relu()
-            b = a.softmax(axis=-1) * a
+            b = attention(a, a.transpose(), a, 0.5)[0] * a
             c = concat([b, b.transpose() @ Tensor(np.ones((3, 3)))], axis=0)
             return c.log_softmax(axis=-1).sum() / 18 + (p * p).sum()
 
         assert grad_check(f, point) < 1e-4
+
+
+class TestAttention:
+    """The fused node against central differences and against the unfused
+    ndarray chain: scores, scale, softmax, weighted sum."""
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_grad_wrt_each_operand(self, which):
+        rng = np.random.default_rng(20 + which)
+        operands = [Tensor(rng.standard_normal(shape)) for shape in
+                    ((2, 3, 4), (2, 4, 5), (2, 5, 3))]
+        weights = Tensor(rng.standard_normal((2, 3, 3)))
+
+        def f(p):
+            args = list(operands)
+            args[which] = p
+            return (attention(*args, 0.7)[0] * weights).sum()
+
+        assert grad_check(f, operands[which]) < 1e-6
+
+    def test_grad_when_query_is_value(self):
+        # the temporal layout: the transposed embedding is query and value
+        rng = np.random.default_rng(23)
+        point = _rand(rng, 2, 4, 3)
+        weights = Tensor(rng.standard_normal((2, 3, 4)))
+
+        def f(p):
+            seq = p.transpose((0, 2, 1))
+            return (attention(seq, p, seq, 0.5)[0] * weights).sum()
+
+        assert grad_check(f, point) < 1e-6
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_grad_wrt_broadcast_operand(self, which):
+        rng = np.random.default_rng(24 + which)
+        operands = [Tensor(rng.standard_normal(shape)) for shape in
+                    ((3, 4), (2, 1, 4, 5), (5, 3))]
+        weights = Tensor(rng.standard_normal((2, 1, 3, 3)))
+
+        def f(p):
+            args = list(operands)
+            args[which] = p
+            return (attention(*args, 0.7)[0] * weights).sum()
+
+        assert grad_check(f, operands[which]) < 1e-6
+
+    def test_bitwise_equal_to_unfused_chain(self):
+        rng = np.random.default_rng(27)
+        q, k, v, g = (rng.standard_normal(shape) for shape in
+                      ((2, 3, 4), (2, 4, 3), (2, 3, 5), (2, 3, 5)))
+        scale = 1.0 / math.sqrt(3)
+        tq, tk, tv = (Tensor(a, requires_grad=True) for a in (q, k, v))
+        out, weights = attention(tq, tk, tv, scale)
+        (out * Tensor(g)).sum().backward()
+
+        probs = softmax((q @ k) * scale, axis=-1)
+        assert np.array_equal(weights, probs)
+        assert np.array_equal(out.data, probs @ v)
+        # the backward of matmul, softmax, mul and matmul nodes in turn
+        dprobs = g @ np.swapaxes(v, -1, -2)
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1,
+                                                          keepdims=True))
+        dscores = dscores * scale
+        assert np.array_equal(tv.grad, np.swapaxes(probs, -1, -2) @ g)
+        assert np.array_equal(tq.grad, dscores @ np.swapaxes(k, -1, -2))
+        assert np.array_equal(tk.grad, np.swapaxes(q, -1, -2) @ dscores)
+
+    def test_frozen_parameters_record_no_tape(self):
+        rng = np.random.default_rng(28)
+        params = ParamSet({name: Tensor(rng.standard_normal((3, 3)),
+                                        requires_grad=True)
+                           for name in ("q", "k", "v")})
+        with params.frozen():
+            out, _ = attention(params["q"], params["k"], params["v"], 1.0)
+        assert out._parents == () and not out.requires_grad
+
+    def test_rejects_empty_and_nonfinite_scores(self):
+        with pytest.raises(ValueError):
+            attention(Tensor(np.zeros((2, 0))), Tensor(np.zeros((0, 0))),
+                      Tensor(np.zeros((0, 2))), 1.0)
+        with pytest.raises(NumericError):
+            attention(Tensor([[np.nan]]), Tensor([[1.0]]), Tensor([[1.0]]),
+                      1.0)
 
 
 class TestDeterminism:
@@ -247,7 +342,7 @@ class TestDeterminism:
 
         def run():
             t = Tensor(x, requires_grad=True)
-            out = (t @ t).softmax(axis=-1).sum()
+            out = attention(t, t, t, 0.5)[0].sum()
             out.backward()
             return out.data.copy(), t.grad.copy()
 
