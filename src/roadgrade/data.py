@@ -135,7 +135,7 @@ def split_anchors(t: int, horizon: int, windows: tuple[int, int, int],
 
 def enumerate_samples(series: TrafficSeries, grades: np.ndarray,
                       anchors: range, horizon: int,
-                      windows: tuple[int, int, int] = (24, 7, 3)) -> Samples:
+                      windows: tuple[int, int, int]) -> Samples:
     """The three-resolution inputs and grade targets of `anchors`."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -194,20 +194,19 @@ def _stamp(hour: int) -> str:
     return (_EPOCH + hour * HOUR).isoformat()
 
 
-def _read_road_hours(path, header: list[str], road_ids: list[str] | None,
-                     convert) -> tuple[np.ndarray, datetime, list[str]]:
+def _read_road_hours(path, header: list[str], road_ids: list[str],
+                     convert) -> tuple[np.ndarray, datetime]:
     """A road×hour table: one `road_id,timestamp,<values>` row per cell.
 
-    Rows come in any order, and every road covers every hour exactly once.
-    Returns the values (roads, hours, k) as `convert`'s numpy type, the
-    first hour and the road order: `road_ids`, or the file's when None.
+    Rows come in any order, and every road in `road_ids` covers every hour
+    exactly once.  Returns the values (roads, hours, k) in `road_ids` order
+    as `convert`'s numpy type, and the first hour.
     """
     rows = read_csv_rows(path)
     if next(rows, None) != header:
         raise DataError(f"{path}:1: expected header {','.join(header)}")
     width, what = len(header), "/".join(header[2:])
-    index = ({} if road_ids is None
-             else {rid: r for r, rid in enumerate(road_ids)})
+    index = {rid: r for r, rid in enumerate(road_ids)}
     hour_of: dict[str, int] = {}  # each distinct timestamp is parsed once
     roads, hours, cells = [], [], []
     for lineno, row in enumerate(rows, start=2):
@@ -217,11 +216,8 @@ def _read_road_hours(path, header: list[str], road_ids: list[str] | None,
             raise DataError(f"{path}:{lineno}: expected {width} columns")
         r = index.get(row[0])
         if r is None:
-            if road_ids is not None:
-                raise DataError(f"{path}:{lineno}: unknown road id "
-                                f"{row[0]!r}; road ids disagree with the "
-                                "network")
-            r = index[row[0]] = len(index)
+            raise DataError(f"{path}:{lineno}: unknown road id {row[0]!r}; "
+                            "road ids disagree with the network")
         hour = hour_of.get(row[1])
         if hour is None:
             hour = hour_of[row[1]] = _parse_hour(row[1], path, lineno)
@@ -240,7 +236,6 @@ def _read_road_hours(path, header: list[str], road_ids: list[str] | None,
         gap = next(a for a, b in zip(distinct, distinct[1:]) if b - a > 1)
         raise DataError(f"{path}: missing hour {_stamp(gap + 1)}: no row "
                         f"for the hour after {_stamp(gap)}")
-    order = list(index)
     keys = np.array(roads) * span + (np.array(hours) - first)
     filled, first_rows = np.unique(keys, return_index=True)
     if filled.size < keys.size:  # name the first row that repeats a cell
@@ -248,11 +243,11 @@ def _read_road_hours(path, header: list[str], road_ids: list[str] | None,
         r, h = divmod(int(keys[i]), span)
         lines = [n for n, row in enumerate(read_csv_rows(path), 1) if row]
         raise DataError(f"{path}:{lines[i + 1]}: duplicate row for road "
-                        f"{order[r]!r} at {_stamp(first + h)}")
-    if filled.size < len(order) * span:  # name the first cell no row fills
+                        f"{road_ids[r]!r} at {_stamp(first + h)}")
+    if filled.size < len(road_ids) * span:  # name the first cell no row fills
         wrong = np.flatnonzero(filled != np.arange(filled.size))
         r, h = divmod(int(wrong[0]) if wrong.size else filled.size, span)
-        raise DataError(f"{path}: road {order[r]!r} is missing hour "
+        raise DataError(f"{path}: road {road_ids[r]!r} is missing hour "
                         f"{_stamp(first + h)}")
     try:
         flat = np.array(cells, dtype=convert).reshape(keys.size, -1)
@@ -260,8 +255,7 @@ def _read_road_hours(path, header: list[str], road_ids: list[str] | None,
         raise DataError(f"{path}: a {what} value is out of range") from None
     values = np.empty_like(flat)
     values[keys] = flat
-    return (values.reshape(len(order), span, -1), _EPOCH + first * HOUR,
-            order)
+    return values.reshape(len(road_ids), span, -1), _EPOCH + first * HOUR
 
 
 def _write_road_hours(path, header: list[str], values: np.ndarray,
@@ -282,13 +276,12 @@ def write_measurements_csv(path, series: TrafficSeries,
                       road_ids)
 
 
-def read_measurements_csv(path, road_ids: list[str] | None = None
-                          ) -> tuple[TrafficSeries, list[str]]:
+def read_measurements_csv(path, road_ids: list[str]) -> TrafficSeries:
     """Parse hourly measurements; every road must cover every hour."""
-    values, start, order = _read_road_hours(path, _MEASUREMENT_HEADER,
-                                            road_ids, float)
+    values, start = _read_road_hours(path, _MEASUREMENT_HEADER, road_ids,
+                                     float)
     try:
-        return TrafficSeries(values, start), order
+        return TrafficSeries(values, start)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -301,7 +294,7 @@ def write_grades_csv(path, grades: np.ndarray, start: datetime,
 
 def read_grades_csv(path, road_ids: list[str]
                     ) -> tuple[np.ndarray, datetime]:
-    values, start, _ = _read_road_hours(path, _GRADE_HEADER, road_ids, int)
+    values, start = _read_road_hours(path, _GRADE_HEADER, road_ids, int)
     return values[:, :, 0], start
 
 

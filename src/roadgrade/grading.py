@@ -24,9 +24,8 @@ def _check_samples(samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def som_train(samples: np.ndarray, class_count: int, seed: int = 0,
-              learn_rate0: float = 0.1, radius0: float = 3.0,
-              max_iter: int = 200) -> np.ndarray:
+def som_train(samples: np.ndarray, class_count: int, seed: int,
+              learn_rate0: float, radius0: float, max_iter: int) -> np.ndarray:
     """Competitive training with exponentially decaying schedules.
 
     Returns the (class_count, 2) node weights of a 1-D strip, where nodes i
@@ -118,10 +117,9 @@ def ordinalize(weights: np.ndarray, samples: np.ndarray,
     return perm
 
 
-def label_series(values: np.ndarray, class_count: int, seed: int = 0,
-                 fit_hours: tuple[int, int] | None = None,
-                 learn_rate0: float = 0.1, radius0: float = 3.0,
-                 max_iter: int = 200) -> np.ndarray:
+def label_series(values: np.ndarray, class_count: int, seed: int,
+                 learn_rate0: float, radius0: float, max_iter: int,
+                 fit_hours: tuple[int, int] | None = None) -> np.ndarray:
     """Grade every (road, hour) of a normalized (roads, hours, channels)
     series; returns the (roads, hours) grades in [1, class_count].
 

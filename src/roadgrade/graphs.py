@@ -149,16 +149,15 @@ def _dtw_workspace(length: int, rows: int) -> list[np.ndarray]:
     return [np.empty((length + extra, rows)) for extra in (0, 0, 1, 1, 0, 0)]
 
 
-def _pairwise_dtw(seqs: np.ndarray,
-                  workspace: list[np.ndarray] | None = None) -> np.ndarray:
+def _pairwise_dtw(seqs: np.ndarray, workspace: list[np.ndarray]) -> np.ndarray:
     """DTW distance between every pair of rows of `seqs`: (..., N, L) to
     (..., N, N), zero on the diagonal.
 
     One dynamic program over all unordered pairs of every leading index at
     once.  It is laid out (L + 1, rows), so each step works on contiguous
     rows, and uses only abs, min and +, so it agrees exactly with
-    dtw_distance on each pair.  A given `workspace` lets repeated calls
-    reuse their working memory; the result does not depend on it.
+    dtw_distance on each pair.  The `workspace` lets repeated calls reuse
+    their working memory; the result does not depend on it.
     """
     *batch, n, length = seqs.shape
     out = np.zeros((*batch, n, n))
@@ -166,8 +165,6 @@ def _pairwise_dtw(seqs: np.ndarray,
         return out
     ii, jj = np.triu_indices(n, k=1)
     rows = ii.size * int(np.prod(batch))
-    if workspace is None:
-        workspace = _dtw_workspace(length, rows)
     # (L, rows): step r of the first sequence and every step of the second;
     # (L + 1, rows): the previous and the current row of the DP table.
     # Fewer rows than the workspace holds use the front of each array.
@@ -206,7 +203,7 @@ DTW_CHUNK_ROWS = 8192
 
 def build_pattern_graph(history: TrafficSeries, alpha_speed: float,
                         alpha_flow: float, window: tuple[int, int],
-                        pattern_hours: int = 24) -> np.ndarray:
+                        pattern_hours: int) -> np.ndarray:
     """Historical-pattern similarity via an exponential kernel on DTW distance.
 
     For every hourly anchor in `window` whose trailing `pattern_hours` history
@@ -334,8 +331,8 @@ class GraphSet:
 
     @classmethod
     def build(cls, net: RoadNetwork, history: TrafficSeries,
-              window: tuple[int, int], alpha_speed: float = 1e-2,
-              alpha_flow: float = 1e-4, pattern_hours: int = 24) -> "GraphSet":
+              window: tuple[int, int], alpha_speed: float, alpha_flow: float,
+              pattern_hours: int) -> "GraphSet":
         return cls(
             topological=build_topological(net),
             weighted=build_weighted_topological(net),

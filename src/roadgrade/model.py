@@ -83,7 +83,7 @@ class ModelState:
     seed: int
 
 
-def init_state(config: ModelConfig, seed: int = 0) -> ModelState:
+def init_state(config: ModelConfig, seed: int) -> ModelState:
     """Fresh parameters from a seeded generator, stacked per resolution.
 
     Values are drawn one (resolution, graph) block at a time in canonical

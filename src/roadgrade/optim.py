@@ -11,6 +11,9 @@ import numpy as np
 from .errors import NumericError
 from .tensor import Tensor
 
+# Adam's moment decay rates and denominator offset
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class ParamSet:
@@ -72,13 +75,10 @@ class ParamSet:
 
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray],
-              lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> ParamSet:
+              lr: float) -> ParamSet:
     """One bias-corrected Adam update over every named parameter."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-        raise ValueError("betas must lie in [0, 1)")
     for name, p in params.params.items():
         g = grads.get(name)
         if g is None or g.shape != p.data.shape:
@@ -91,11 +91,11 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray],
         g = grads[name]
         m = params.first_moment[name]
         v = params.second_moment[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return params

@@ -74,6 +74,9 @@ class RunConfig:
         object.__setattr__(self, "horizons", tuple(self.horizons))
         if not self.horizons or min(self.horizons) < 1:
             raise ConfigError("horizons must be positive")
+        if len(set(self.horizons)) < len(self.horizons):
+            raise ConfigError(f"horizons must not repeat, got "
+                              f"{list(self.horizons)}")
         for floor, names in (
                 (0, ("seed", "val_size", "test_size")),
                 (1, ("hidden1", "hidden2", "heads", "epochs", "batch_size",
@@ -151,7 +154,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 def load_inputs(cfg: RunConfig):
     net, road_ids = graphs.read_network_csv(cfg.network)
-    series, _ = data.read_measurements_csv(cfg.measurements, road_ids)
+    series = data.read_measurements_csv(cfg.measurements, road_ids)
     return net, series, road_ids
 
 
@@ -246,6 +249,9 @@ def run_synth(cfg: RunConfig) -> list[Path]:
 def run_graphs(cfg: RunConfig, horizon: int) -> list[Path]:
     net, series, road_ids = load_inputs(cfg)
     _, window = split_hours(cfg, series.t, horizon)
+    if cfg.pattern_hours > window[1] - window[0]:
+        raise ConfigError(f"pattern_hours {cfg.pattern_hours} exceeds the "
+                          f"{window[1] - window[0]} h fit window")
     graph_set = graphs.GraphSet.build(
         net, series, window, alpha_speed=cfg.alpha_speed,
         alpha_flow=cfg.alpha_flow, pattern_hours=cfg.pattern_hours)

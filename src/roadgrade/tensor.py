@@ -121,8 +121,6 @@ class Tensor:
 
         return Tensor._node(out_data, (a, b), backward)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Tensor":
         a = self
 
@@ -142,8 +140,6 @@ class Tensor:
                 _accumulate(grads, b, _unbroadcast(g * a.data, b.shape))
 
         return Tensor._node(self.data * other.data, (a, b), backward)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, scalar: float) -> "Tensor":
         return self * (1.0 / float(scalar))
@@ -165,22 +161,17 @@ class Tensor:
 
     # -- shape ops -----------------------------------------------------------
 
-    def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
+    def transpose(self, axes: Sequence[int]) -> "Tensor":
         a = self
         out_data = np.transpose(self.data, axes)
-        if axes is None:
-            inverse = None
-        else:
-            inverse = tuple(np.argsort(axes))
+        inverse = tuple(np.argsort(axes))
 
         def backward(grads, g):
             _accumulate(grads, a, np.transpose(g, inverse))
 
         return Tensor._node(out_data, (a,), backward)
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         a = self
         old_shape = self.shape
 
@@ -191,12 +182,12 @@ class Tensor:
 
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self, axis=None) -> "Tensor":
         a = self
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        out_data = self.data.sum(axis=axis)
 
         def backward(grads, g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             _accumulate(grads, a, np.broadcast_to(g, a.shape).copy())
 

@@ -66,7 +66,8 @@ def pipeline(tmp_path_factory):
 class TestPipeline:
     def test_synth_artifacts_parse(self, pipeline):
         tmp_path, _, _ = pipeline
-        series, ids = read_measurements_csv(tmp_path / "measurements.csv")
+        _, ids = read_network_csv(tmp_path / "network.csv")
+        series = read_measurements_csv(tmp_path / "measurements.csv", ids)
         assert len(ids) == MINI["synth_roads"]
         assert series.t == MINI["synth_weeks"] * 168
 
@@ -128,7 +129,7 @@ class TestPipeline:
         _, config, out = pipeline
         cfg = load_config(str(config))
         net, road_ids = read_network_csv(cfg.network)
-        series, _ = read_measurements_csv(cfg.measurements, road_ids)
+        series = read_measurements_csv(cfg.measurements, road_ids)
         (_, _, test), window = split_hours(cfg, series.t, 1)
         graph_set = GraphSet.build(
             net, series, window, alpha_speed=cfg.alpha_speed,
@@ -179,6 +180,21 @@ def test_ablate_emits_comparison_table(tmp_path):
         assert (out / f"checkpoint_h1{variant}.json").exists()
 
 
+def test_ablate_writes_what_the_stage_commands_write(tmp_path):
+    config, out = write_config(tmp_path, horizons=[1, 2])
+    staged = tmp_path / "staged"
+    assert main(["synth", "--config", str(config)]) == 0
+    assert main(["ablate", "--config", str(config)]) == 0
+    for horizon in (1, 2):
+        for command in ("graphs", "label", "train"):
+            assert main([command, "--config", str(config), "--out",
+                         str(staged), "--horizon", str(horizon)]) == 0
+        for name in (f"checkpoint_h{horizon}.json",
+                     f"training_log_h{horizon}.json",
+                     f"grades_h{horizon}.csv"):
+            assert (out / name).read_bytes() == (staged / name).read_bytes()
+
+
 class TestFailureModes:
     def test_evaluate_without_predictions_exits_2_naming_file(self, tmp_path,
                                                               capsys):
@@ -204,6 +220,18 @@ class TestFailureModes:
         assert "som_learn_rate" in err and "som_radius" in err
         assert "Traceback" not in err
         assert not (out / "grades_h1.csv").exists()
+
+    @pytest.mark.parametrize("command", ["graphs", "ablate"])
+    def test_pattern_longer_than_fit_window_exits_1(self, tmp_path, capsys,
+                                                    command):
+        # MINI's fit window at horizon 1 is hours [0, 604)
+        config, out = write_config(tmp_path, pattern_hours=900)
+        assert main(["synth", "--config", str(config)]) == 0
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "pattern_hours" in err
+        assert "604 h" in err
+        assert not (out / "adjacency_pattern.csv").exists()
 
     def test_missing_inputs_exit_2(self, tmp_path):
         config, _ = write_config(tmp_path)
@@ -484,6 +512,7 @@ def test_diverging_training_exits_3(pipeline, tmp_path, capsys):
     ("test_size", -5), ("n_grades", 1), ("som_learn_rate", 0.34),
     ("som_radius", 12.0), ("alpha_speed", float("inf")),
     ("alpha_flow", float("inf")), ("learning_rate", float("inf")),
+    ("horizons", [1, 1]),
 ])
 def test_rejected_config_value_exits_1(tmp_path, capsys, key, value):
     config, _ = write_config(tmp_path, **{key: value})

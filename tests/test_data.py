@@ -76,13 +76,15 @@ class TestSliceSample:
         grades = np.ones((series.n, series.t), dtype=int)
         # tau=400, horizon=1: weekly channel would need hour -103
         with pytest.raises(ValueError, match="week"):
-            enumerate_samples(series, grades, range(400, 401), horizon=1)
+            enumerate_samples(series, grades, range(400, 401), horizon=1,
+                              windows=(24, 7, 3))
 
     def test_shapes_and_target(self):
         series = make_series(t=900)
         grades = np.ones((series.n, series.t), dtype=int)
         grades[:, 601] = 3
-        sample = enumerate_samples(series, grades, range(600, 601), horizon=1)
+        sample = enumerate_samples(series, grades, range(600, 601), horizon=1,
+                                   windows=(24, 7, 3))
         assert sample.history["hour"].shape == (1, 3, 24, 2)
         assert sample.history["day"].shape == (1, 3, 7, 2)
         assert sample.history["week"].shape == (1, 3, 3, 2)
@@ -101,14 +103,16 @@ class TestSliceSample:
         series = make_series(t=600)
         grades = np.ones((series.n, series.t), dtype=int)
         with pytest.raises(ValueError, match="beyond"):
-            enumerate_samples(series, grades, range(590, 591), horizon=24)
+            enumerate_samples(series, grades, range(590, 591), horizon=24,
+                              windows=(24, 7, 3))
 
     def test_enumerate_counts(self):
         series = make_series(t=840)
         grades = np.ones((series.n, series.t), dtype=int)
         train, _, test = split_anchors(840, 1, (24, 7, 3), (200, 100, 36))
         samples = enumerate_samples(series, grades,
-                                    range(train.start, test.stop), horizon=1)
+                                    range(train.start, test.stop), horizon=1,
+                                    windows=(24, 7, 3))
         assert len(samples) == 840 - 504
         assert samples.anchors[0] == 503
         taus = samples.anchors.tolist()
@@ -141,8 +145,7 @@ class TestMeasurementCsv:
         ids = ["A", "B"]
         path = tmp_path / "measurements.csv"
         write_measurements_csv(path, series, ids)
-        loaded, loaded_ids = read_measurements_csv(path)
-        assert loaded_ids == ids
+        loaded = read_measurements_csv(path, ids)
         assert loaded.start == series.start
         np.testing.assert_array_equal(loaded.values, series.values)
 
@@ -154,7 +157,7 @@ class TestMeasurementCsv:
         del lines[3]  # drop hour 2 of road A
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="missing hour"):
-            read_measurements_csv(path)
+            read_measurements_csv(path, ["A"])
 
     def test_malformed_row_carries_line_number(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -162,7 +165,7 @@ class TestMeasurementCsv:
                         "A,2020-01-06T00:00:00,10.0,1.0\n"
                         "A,2020-01-06T01:30:00,10.0,1.0\n")
         with pytest.raises(DataError, match=":3"):
-            read_measurements_csv(path)
+            read_measurements_csv(path, ["A"])
 
     def test_road_set_must_match_network(self, tmp_path):
         series = make_series(n=2, t=4)

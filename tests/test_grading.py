@@ -17,8 +17,8 @@ def two_cluster_samples(rng, per_cluster=100):
     return samples, labels
 
 
-def som_train_numpy(samples, class_count, seed, learn_rate0=0.1,
-                    radius0=3.0, max_iter=200):
+def som_train_numpy(samples, class_count, seed, learn_rate0, radius0,
+                    max_iter):
     """som_train as array code: one numpy update per point (the oracle)."""
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.0, 1.0, size=(class_count, samples.shape[1]))
@@ -49,7 +49,8 @@ class TestSomTrain:
         points = rng.uniform(0, 1, size=(30, features))
         # repeated points, and a coarse lattice where distances tie exactly
         samples = np.vstack([points, points[:10], np.round(points * 2) / 2])
-        kwargs = dict(seed=features, max_iter=15)
+        kwargs = dict(seed=features, learn_rate0=0.1, radius0=3.0,
+                      max_iter=15)
         expected = som_train_numpy(samples, count, **kwargs)
         got = som_train(samples, count, **kwargs)
         assert np.array_equal(got, expected)
@@ -59,14 +60,15 @@ class TestSomTrain:
         # passes go from neighborhood updates to winner-only updates
         rng = np.random.default_rng(13)
         samples = rng.uniform(0, 1, size=(2016, 2))
-        expected = som_train_numpy(samples, 5, seed=1, max_iter=7)
-        assert np.array_equal(som_train(samples, 5, seed=1, max_iter=7),
-                              expected)
+        kwargs = dict(seed=1, learn_rate0=0.1, radius0=3.0, max_iter=7)
+        expected = som_train_numpy(samples, 5, **kwargs)
+        assert np.array_equal(som_train(samples, 5, **kwargs), expected)
 
     @pytest.mark.parametrize("features", [1, 3])
     def test_refuses_feature_counts_other_than_two(self, features):
         with pytest.raises(ValueError, match="speed, flow"):
-            som_train(np.full((4, features), 0.5), class_count=2)
+            som_train(np.full((4, features), 0.5), class_count=2, seed=0,
+                      learn_rate0=0.1, radius0=3.0, max_iter=200)
 
     def test_distance_tie_goes_to_lowest_index(self):
         # Pass 1 (gain 1, both nodes in reach) puts both nodes exactly on
@@ -83,7 +85,8 @@ class TestSomTrain:
     def test_constant_samples_converge_to_the_constant(self):
         target = np.array([0.3, 0.7])
         samples = np.tile(target, (50, 1))
-        weights = som_train(samples, class_count=3, seed=0)
+        weights = som_train(samples, class_count=3, seed=0, learn_rate0=0.1,
+                            radius0=3.0, max_iter=200)
         winner = som_assign(weights, target[None, :])[0]
         assert np.linalg.norm(weights[winner] - target) < 1e-3
 
@@ -98,7 +101,8 @@ class TestSomTrain:
     def test_two_separated_clusters_recovered(self):
         rng = np.random.default_rng(2)
         samples, labels = two_cluster_samples(rng)
-        weights = som_train(samples, class_count=2, seed=3)
+        weights = som_train(samples, class_count=2, seed=3, learn_rate0=0.1,
+                            radius0=3.0, max_iter=200)
         assigned = som_assign(weights, samples)
         agreement = (assigned == labels).mean()
         purity = max(agreement, 1.0 - agreement)
@@ -107,19 +111,22 @@ class TestSomTrain:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         samples, _ = two_cluster_samples(rng, per_cluster=30)
-        first = som_train(samples, class_count=4, seed=9)
-        second = som_train(samples, class_count=4, seed=9)
+        kwargs = dict(seed=9, learn_rate0=0.1, radius0=3.0, max_iter=200)
+        first = som_train(samples, class_count=4, **kwargs)
+        second = som_train(samples, class_count=4, **kwargs)
         assert np.array_equal(first, second)
 
     def test_input_validation(self):
+        valid = dict(class_count=2, seed=0, learn_rate0=0.1, radius0=3.0,
+                     max_iter=200)
         with pytest.raises(ValueError):
-            som_train(np.empty((0, 2)), class_count=2)
+            som_train(np.empty((0, 2)), **valid)
         with pytest.raises(ValueError):
-            som_train(np.full((4, 2), 1.5), class_count=2)
+            som_train(np.full((4, 2), 1.5), **valid)
         with pytest.raises(ValueError):
-            som_train(np.full((4, 2), 0.5), class_count=2, learn_rate0=0.0)
+            som_train(np.full((4, 2), 0.5), **{**valid, "learn_rate0": 0.0})
         with pytest.raises(ValueError):
-            som_train(np.full((4, 2), 0.5), class_count=2, max_iter=0)
+            som_train(np.full((4, 2), 0.5), **{**valid, "max_iter": 0})
 
     def test_gain_above_one_refused(self):
         # gain learn_rate0 * radius0 = 3 would overshoot every sample, and
@@ -127,14 +134,16 @@ class TestSomTrain:
         rng = np.random.default_rng(11)
         samples = rng.uniform(0, 1, size=(1000, 2))
         with pytest.raises(ValueError, match="gain"):
-            som_train(samples, class_count=5, learn_rate0=1.0, max_iter=15)
+            som_train(samples, class_count=5, seed=0, learn_rate0=1.0,
+                      radius0=3.0, max_iter=15)
 
     @pytest.mark.parametrize("cell", [np.nan, np.inf])
     def test_non_finite_samples_refused(self, cell):
         samples = np.full((10, 2), 0.5)
         samples[3, 1] = cell
         with pytest.raises(ValueError, match="finite"):
-            som_train(samples, class_count=3)
+            som_train(samples, class_count=3, seed=0, learn_rate0=0.1,
+                      radius0=3.0, max_iter=200)
 
 
 class TestSomAssign:
@@ -205,7 +214,8 @@ class TestLabelSeries:
         congestion = rng.uniform(0, 1, size=(5, 200))
         values = np.stack([1.0 - 0.8 * congestion, 0.2 + 0.8 * congestion],
                           axis=2)
-        grades = label_series(values, class_count=4, seed=0, max_iter=60)
+        grades = label_series(values, class_count=4, seed=0, learn_rate0=0.1,
+                              radius0=3.0, max_iter=60)
         assert grades.shape == (5, 200)
         assert grades.dtype == np.int64
         assert grades.min() >= 1 and grades.max() <= 4
@@ -219,8 +229,9 @@ class TestLabelSeries:
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         values = rng.uniform(0, 1, size=(3, 120, 2))
-        first = label_series(values, class_count=3, seed=5, max_iter=40)
-        second = label_series(values, class_count=3, seed=5, max_iter=40)
+        kwargs = dict(seed=5, learn_rate0=0.1, radius0=3.0, max_iter=40)
+        first = label_series(values, class_count=3, **kwargs)
+        second = label_series(values, class_count=3, **kwargs)
         assert np.array_equal(first, second)
 
     @pytest.mark.parametrize("fit_hours", [None, (20, 90)])
@@ -230,7 +241,8 @@ class TestLabelSeries:
         values = rng.uniform(0, 1, size=(4, 120, 2))
         lo, hi = fit_hours or (0, 120)
         fit = values[:, lo:hi].reshape(-1, 2)
-        weights = som_train(fit, 3, seed=2, max_iter=20)
+        schedule = dict(seed=2, learn_rate0=0.1, radius0=3.0, max_iter=20)
+        weights = som_train(fit, 3, **schedule)
         perm = ordinalize(weights, fit, som_assign(weights, fit))
         expected = perm[som_assign(weights, values.reshape(-1, 2))]
         calls = []
@@ -240,7 +252,6 @@ class TestLabelSeries:
             return som_assign(*args)
 
         monkeypatch.setattr(grading, "som_assign", counted)
-        grades = label_series(values, 3, seed=2, fit_hours=fit_hours,
-                              max_iter=20)
+        grades = label_series(values, 3, **schedule, fit_hours=fit_hours)
         assert len(calls) == 1
         assert np.array_equal(grades, expected.reshape(4, 120))

@@ -137,6 +137,13 @@ def constant_series(values):
     return TrafficSeries(np.asarray(values, dtype=float), DEFAULT_START)
 
 
+def pairwise_dtw(seqs):
+    """_pairwise_dtw with a fresh workspace sized for `seqs`."""
+    *batch, n, length = seqs.shape
+    rows = n * (n - 1) // 2 * int(np.prod(batch))
+    return _pairwise_dtw(seqs, graphs._dtw_workspace(length, rows))
+
+
 def pattern_graph_per_anchor(history, alpha_speed, alpha_flow, window,
                              pattern_hours):
     """build_pattern_graph one anchor and one channel at a time."""
@@ -148,7 +155,7 @@ def pattern_graph_per_anchor(history, alpha_speed, alpha_flow, window,
         per_anchor = np.zeros((n, n))
         for channel, alpha in enumerate((alpha_speed, alpha_flow)):
             seqs = history.values[:, t - pattern_hours + 1:t + 1, channel]
-            per_anchor += np.exp(-alpha * _pairwise_dtw(seqs))
+            per_anchor += np.exp(-alpha * pairwise_dtw(seqs))
         total += per_anchor / 2
     w = total / len(anchors)
     np.fill_diagonal(w, 0.0)
@@ -312,7 +319,7 @@ class TestDtw:
     def test_pairwise_matches_scalar(self):
         rng = np.random.default_rng(1)
         seqs = rng.normal(size=(6, 9))
-        batch = _pairwise_dtw(seqs)
+        batch = pairwise_dtw(seqs)
         for i in range(6):
             for j in range(6):
                 expected = 0.0 if i == j else dtw_distance(seqs[i], seqs[j])
@@ -321,10 +328,10 @@ class TestDtw:
     def test_pairwise_batched_equals_per_slice_and_scalar(self):
         rng = np.random.default_rng(3)
         seqs = rng.normal(size=(2, 3, 5, 7))
-        batch = _pairwise_dtw(seqs)
+        batch = pairwise_dtw(seqs)
         assert batch.shape == (2, 3, 5, 5)
         for idx in np.ndindex(2, 3):
-            assert np.array_equal(batch[idx], _pairwise_dtw(seqs[idx]))
+            assert np.array_equal(batch[idx], pairwise_dtw(seqs[idx]))
             for i, j in itertools.combinations(range(5), 2):
                 expected = dtw_distance(seqs[idx][i], seqs[idx][j])
                 assert batch[idx][i, j] == expected
@@ -340,10 +347,10 @@ class TestDtw:
             array.fill(np.nan)
         for chunk in (seqs, seqs[1:2], seqs[:, :, ::-1], seqs[:1, :1]):
             assert np.array_equal(_pairwise_dtw(chunk, workspace),
-                                  _pairwise_dtw(chunk))
+                                  pairwise_dtw(chunk))
 
     def test_pairwise_single_sequence_is_zero(self):
-        assert np.array_equal(_pairwise_dtw(np.ones((4, 1, 3))),
+        assert np.array_equal(pairwise_dtw(np.ones((4, 1, 3))),
                               np.zeros((4, 1, 1)))
 
 
@@ -372,7 +379,7 @@ class TestPatternGraph:
         values[:, :, 0] = np.sin(np.arange(30)) * 10 + 50
         values[:, :, 1] = 200.0
         series = constant_series(values)
-        w = build_pattern_graph(series, 1e-2, 1e-4, (0, 30))
+        w = build_pattern_graph(series, 1e-2, 1e-4, (0, 30), pattern_hours=24)
         assert w[0, 1] == pytest.approx(1.0)
         assert w[0, 0] == 0.0
 
@@ -394,7 +401,8 @@ class TestPatternGraph:
         values[2, :, 0] = other
         values[:, :, 1] = 300.0
         series = constant_series(values)
-        w = build_pattern_graph(series, 1e-2, 1e-4, (0, hours.size))
+        w = build_pattern_graph(series, 1e-2, 1e-4, (0, hours.size),
+                                pattern_hours=24)
         assert w[0, 1] > w[0, 2]
 
     def test_window_too_short(self):
@@ -416,7 +424,7 @@ class TestPatternGraph:
         rng = np.random.default_rng(2)
         values = rng.uniform(1, 100, size=(4, 48, 2))
         series = constant_series(values)
-        w = build_pattern_graph(series, 1e-2, 1e-4, (0, 48))
+        w = build_pattern_graph(series, 1e-2, 1e-4, (0, 48), pattern_hours=24)
         np.testing.assert_array_equal(w, w.T)
         off = w[~np.eye(4, dtype=bool)]
         assert np.all(off > 0) and np.all(off <= 1.0)
@@ -584,7 +592,8 @@ class TestGraphSetAndFiles:
         net = random_network(rng, 6)
         values = rng.uniform(5, 90, size=(6, 24 * 8, 2))
         series = constant_series(values)
-        graph_set = GraphSet.build(net, series, (0, 24 * 8))
+        graph_set = GraphSet.build(net, series, (0, 24 * 8), alpha_speed=1e-2,
+                                   alpha_flow=1e-4, pattern_hours=24)
         for key in ("topological", "weighted", "pattern", "attribute"):
             raw = graph_set.raw(key)
             np.testing.assert_array_equal(raw, raw.T)
@@ -604,7 +613,8 @@ class TestGraphSetAndFiles:
             return shortest_paths(network)
 
         monkeypatch.setattr(graphs, "shortest_paths", counted)
-        graph_set = GraphSet.build(net, series, (0, 24 * 8))
+        graph_set = GraphSet.build(net, series, (0, 24 * 8), alpha_speed=1e-2,
+                                   alpha_flow=1e-4, pattern_hours=24)
         assert calls == [net]
         hops, path_lengths = shortest_paths(net)
         with np.errstate(divide="ignore"):

@@ -51,7 +51,8 @@ def test_two_steps_descend_quadratic():
 
 
 def test_matches_reference_adam_sequence():
-    # explicit reference implementation carried for several steps
+    # explicit reference implementation carried for several steps, with
+    # the paper's beta1, beta2 and eps
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
     params = make_params(x=[0.3, -1.2])
     x = np.array([0.3, -1.2])
@@ -60,7 +61,7 @@ def test_matches_reference_adam_sequence():
     rng = np.random.default_rng(3)
     for t in range(1, 6):
         g = rng.standard_normal(2)
-        adam_step(params, {"x": g.copy()}, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        adam_step(params, {"x": g.copy()}, lr=lr)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         x = x - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
@@ -70,7 +71,7 @@ def test_matches_reference_adam_sequence():
 def test_shape_mismatch_rejected():
     params = make_params(w=[1.0, 2.0])
     with pytest.raises(ValueError):
-        adam_step(params, {"w": np.zeros(3)})
+        adam_step(params, {"w": np.zeros(3)}, lr=0.1)
     with pytest.raises(ValueError):
         adam_step(params, {}, lr=0.1)
 
@@ -78,7 +79,7 @@ def test_shape_mismatch_rejected():
 def test_nonfinite_gradient_rejected():
     params = make_params(w=[1.0])
     with pytest.raises(NumericError):
-        adam_step(params, {"w": np.array([np.nan])})
+        adam_step(params, {"w": np.array([np.nan])}, lr=0.1)
     assert params.step == 0  # rejected before any state mutation
 
 

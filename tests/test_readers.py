@@ -49,7 +49,8 @@ def _attention(path):
 
 # name -> (writer of a valid file, reader)
 READERS = {
-    "measurements": (_measurements, read_measurements_csv),
+    "measurements": (_measurements,
+                     lambda path: read_measurements_csv(path, IDS)),
     "grades": (_grades, lambda path: read_grades_csv(path, IDS)),
     "network": (_network, read_network_csv),
     "adjacency": (_adjacency, read_adjacency_csv),
@@ -103,11 +104,10 @@ def test_rows_in_any_order(valid_files, tmp_path):
     path = tmp_path / "shuffled.csv"
     header, *rows = valid_files["measurements"].splitlines(keepends=True)
     path.write_bytes(header + b"".join(reversed(rows)))
-    shuffled, order = read_measurements_csv(path)
+    shuffled = read_measurements_csv(path, IDS)
     (tmp_path / "sorted.csv").write_bytes(valid_files["measurements"])
-    expected, _ = read_measurements_csv(tmp_path / "sorted.csv")
-    assert order == IDS[::-1]
-    np.testing.assert_array_equal(shuffled.values, expected.values[::-1])
+    expected = read_measurements_csv(tmp_path / "sorted.csv", IDS)
+    np.testing.assert_array_equal(shuffled.values, expected.values)
 
 
 @pytest.mark.parametrize("name", list(READERS))
@@ -127,9 +127,8 @@ def test_rows_centuries_apart_fail_at_once(tmp_path, header, cell):
     path = tmp_path / "far.csv"
     path.write_text(f"{header}\nA,0001-01-01T00:00:00,{cell}\n"
                     f"A,9999-12-31T23:00:00,{cell}\n")
-    read = (read_measurements_csv if "speed" in header
-            else lambda p: read_grades_csv(p, ["A"]))
+    read = read_measurements_csv if "speed" in header else read_grades_csv
     started = time.perf_counter()
     with pytest.raises(DataError, match="missing hour"):
-        read(path)
+        read(path, ["A"])
     assert time.perf_counter() - started < 1.0

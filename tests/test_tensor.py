@@ -79,7 +79,7 @@ class TestGradCheck:
         assert err < 1e-8
 
     def test_constant_function(self):
-        err = grad_check(lambda p: Tensor(np.array(1.5)) + 0.0 * p.sum(),
+        err = grad_check(lambda p: Tensor(np.array(1.5)) + p.sum() * 0.0,
                          Tensor(np.array([1.0, 2.0])), eps=1e-5)
         assert err == 0.0
 
@@ -90,7 +90,7 @@ class TestGradCheck:
     def test_nonfinite_probe_raises(self):
         def f(p):
             with np.errstate(invalid="ignore"):
-                return Tensor(np.log(p.data)).sum() + 0.0 * p.sum()
+                return Tensor(np.log(p.data)).sum() + p.sum() * 0.0
 
         with pytest.raises(NumericError):
             grad_check(f, Tensor(np.array([1e-9])), eps=1e-3)
@@ -176,7 +176,7 @@ class TestOperatorGradients:
 
         def f(p):
             moved = p.transpose((2, 0, 1)).reshape(4, 6)
-            flipped = moved.transpose()  # no axes: all reversed
+            flipped = moved.transpose((1, 0))
             return (flipped * flipped * weights).sum()
 
         assert grad_check(f, point) < 1e-6
@@ -238,8 +238,9 @@ class TestOperatorGradients:
 
         def f(p):
             a = (p @ mix).relu()
-            b = attention(a, a.transpose(), a, 0.5)[0] * a
-            c = concat([b, b.transpose() @ Tensor(np.ones((3, 3)))], axis=0)
+            b = attention(a, a.transpose((1, 0)), a, 0.5)[0] * a
+            c = concat([b, b.transpose((1, 0)) @ Tensor(np.ones((3, 3)))],
+                       axis=0)
             return c.log_softmax(axis=-1).sum() / 18 + (p * p).sum()
 
         assert grad_check(f, point) < 1e-4
