@@ -9,9 +9,11 @@ prior weeks, together with the grade targets at tau + horizon.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -72,10 +74,11 @@ def minmax_normalize(series: TrafficSeries,
 
 @dataclass(frozen=True)
 class Samples:
-    """Model inputs for a run of anchor hours, one row per anchor."""
+    """Model inputs for a run of anchor hours, one row per anchor;
+    `target` is None when they were built without grades."""
 
     history: dict[str, np.ndarray]  # resolution -> (samples, roads, window, 2)
-    target: np.ndarray              # (samples, roads) grades, horizon ahead
+    target: np.ndarray | None       # (samples, roads) grades, horizon ahead
     anchors: np.ndarray             # (samples,) anchor hours
 
     def __len__(self) -> int:
@@ -84,7 +87,8 @@ class Samples:
     def take(self, index) -> Samples:
         """The sub-batch at `index`, a slice or an array of positions."""
         return Samples({res: h[index] for res, h in self.history.items()},
-                       self.target[index], self.anchors[index])
+                       None if self.target is None else self.target[index],
+                       self.anchors[index])
 
 
 def resolution_indices(tau, horizon: int,
@@ -133,14 +137,14 @@ def split_anchors(t: int, horizon: int, windows: tuple[int, int, int],
     return train, val, test
 
 
-def enumerate_samples(series: TrafficSeries, grades: np.ndarray,
+def enumerate_samples(series: TrafficSeries, grades: np.ndarray | None,
                       anchors: range, horizon: int,
                       windows: tuple[int, int, int]) -> Samples:
-    """The three-resolution inputs and grade targets of `anchors`."""
+    """The three-resolution inputs and grade targets of `anchors`; without
+    `grades`, the inputs alone."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    grades = np.asarray(grades)
-    if grades.shape != (series.n, series.t):
+    if grades is not None and np.shape(grades) != (series.n, series.t):
         raise ValueError("grades shape must match the series")
     anchors = np.asarray(anchors, dtype=np.int64)
     indices = resolution_indices(anchors, horizon, windows)
@@ -158,7 +162,8 @@ def enumerate_samples(series: TrafficSeries, grades: np.ndarray,
     by_hour = series.values.transpose(1, 0, 2)
     history = {name: by_hour[idx].transpose(0, 2, 1, 3)
                for name, idx in indices.items()}
-    target = grades.T[anchors + horizon].astype(np.int64)
+    target = (None if grades is None
+              else np.asarray(grades).T[anchors + horizon].astype(np.int64))
     return Samples(history, target, anchors)
 
 
@@ -178,20 +183,88 @@ def read_csv_rows(path):
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_hour(raw: str, path, lineno: int) -> int:
-    """Hours since `_EPOCH` of a naive whole-hour ISO timestamp."""
+def _parse_hour(raw: str) -> int:
+    """Hours since `_EPOCH` of a naive whole-hour ISO timestamp; ValueError
+    says what is wrong with another string."""
     try:
         ts = datetime.fromisoformat(raw)
     except ValueError:
-        raise DataError(f"{path}:{lineno}: bad timestamp {raw!r}") from None
+        raise ValueError(f"bad timestamp {raw!r}") from None
     if ts.minute or ts.second or ts.microsecond or ts.tzinfo is not None:
-        raise DataError(
-            f"{path}:{lineno}: timestamp {raw!r} must be a naive whole hour")
+        raise ValueError(f"timestamp {raw!r} must be a naive whole hour")
     return (ts - _EPOCH) // HOUR
 
 
 def _stamp(hour: int) -> str:
     return (_EPOCH + hour * HOUR).isoformat()
+
+
+# Lines per batch of a road×hour table: about 64 KB of measurement text.
+# That bounds a batch's footprint, and it is under the csv field limit, so
+# no line needs its own length check.
+_BATCH_LINES = 1024
+
+
+def _reraise(error: Exception):
+    """An iterator that raises `error` when asked for its first item."""
+    raise error
+    yield
+
+
+def _row_batches(fh, width: int):
+    """The rows of `fh` from its current line on, a bounded batch at a time.
+
+    Yields (row number of the first row, rows, cells).  `rows` iterates the
+    batch's rows as csv.reader gives them, blank ones as [].  `cells` holds
+    the fields of the non-blank rows, row after row, or is None when one of
+    them has a width other than `width`.
+
+    A batch without `"`, with no line longer than the csv field limit and no
+    line break but CR, LF or CRLF, is split by `str.splitlines` and
+    `str.split`, which then agree with csv.reader.  Any other batch goes
+    through csv.reader, which reads on past the batch to finish a quoted
+    row.  An error while reading is raised after the rows read before it,
+    where csv.reader over the whole file would raise it.
+    """
+    lineno = 2
+    while True:
+        lines, error = [], None
+        try:  # unlike list(), extend keeps the lines read before an error
+            lines.extend(islice(fh, _BATCH_LINES))
+        except UnicodeDecodeError as exc:
+            error = exc
+        if not lines and error is None:
+            return
+        text = "".join(lines)
+        split = text.splitlines()
+        limit = csv.field_size_limit()
+        if ('"' in text or len(split) != len(lines)
+                or len(text) > limit and max(map(len, lines)) > limit):
+            reader = csv.reader(chain(lines, fh if error is None
+                                      else _reraise(error)))
+            rows = []
+            try:
+                for row in reader:
+                    rows.append(row)
+                    if reader.line_num >= len(lines):
+                        break
+            except (UnicodeDecodeError, csv.Error) as exc:
+                error = exc
+            full = [row for row in rows if row]
+            cells = (list(chain.from_iterable(full))
+                     if {width}.issuperset(map(len, full)) else None)
+            count = len(rows)
+        else:
+            full = [line for line in split if line] if "" in split else split
+            if not {width - 1}.issuperset(map(str.count, full, repeat(","))):
+                cells = None
+            else:
+                cells = ",".join(full).split(",") if full else []
+            rows, count = csv.reader(lines), len(lines)
+        yield lineno, rows, cells
+        lineno += count
+        if error is not None:
+            raise error
 
 
 def _read_road_hours(path, header: list[str], road_ids: list[str],
@@ -201,33 +274,70 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     Rows come in any order, and every road in `road_ids` covers every hour
     exactly once.  Returns the values (roads, hours, k) in `road_ids` order
     as `convert`'s numpy type, and the first hour.
+
+    Each batch of rows is converted a column at a time, through dicts for
+    the road ids and timestamps and `convert` for the values.  The first
+    problem in a batch sends it through the row-by-row loop instead, which
+    names the first bad row and what is wrong with it.
     """
-    rows = read_csv_rows(path)
-    if next(rows, None) != header:
-        raise DataError(f"{path}:1: expected header {','.join(header)}")
     width, what = len(header), "/".join(header[2:])
     index = {rid: r for r, rid in enumerate(road_ids)}
     hour_of: dict[str, int] = {}  # each distinct timestamp is parsed once
-    roads, hours, cells = [], [], []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != width:
-            if not row:
-                continue
-            raise DataError(f"{path}:{lineno}: expected {width} columns")
-        r = index.get(row[0])
-        if r is None:
-            raise DataError(f"{path}:{lineno}: unknown road id {row[0]!r}; "
-                            "road ids disagree with the network")
-        hour = hour_of.get(row[1])
-        if hour is None:
-            hour = hour_of[row[1]] = _parse_hour(row[1], path, lineno)
-        try:
-            cells.extend(map(convert, row[2:]))
-        except ValueError:
-            raise DataError(
-                f"{path}:{lineno}: bad {what} value {row[2:]}") from None
-        roads.append(r)
-        hours.append(hour)
+    roads, hours, *cells = ([] for _ in header)  # a list per column
+
+    def by_columns(flat: list[str] | None) -> list[list]:
+        if flat is None:
+            raise ValueError("a row has another width")
+        road_col, stamp_col, *value_cols = (flat[c::width]
+                                            for c in range(width))
+        batch = [list(map(index.__getitem__, road_col))]
+        for raw in set(stamp_col).difference(hour_of):
+            hour_of[raw] = _parse_hour(raw)
+        batch.append(list(map(hour_of.__getitem__, stamp_col)))
+        batch.extend(list(map(convert, col)) for col in value_cols)
+        return batch
+
+    def by_rows(rows, lineno: int) -> list[list]:
+        batch = [[] for _ in header]
+        for lineno, row in enumerate(rows, start=lineno):
+            if len(row) != width:
+                if not row:
+                    continue
+                raise DataError(f"{path}:{lineno}: expected {width} columns")
+            r = index.get(row[0])
+            if r is None:
+                raise DataError(f"{path}:{lineno}: unknown road id "
+                                f"{row[0]!r}; road ids disagree with the "
+                                "network")
+            hour = hour_of.get(row[1])
+            if hour is None:
+                try:
+                    hour = hour_of[row[1]] = _parse_hour(row[1])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+            try:
+                values = [convert(raw) for raw in row[2:]]
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: bad {what} value {row[2:]}") from None
+            for column, item in zip(batch, (r, hour, *values)):
+                column.append(item)
+        return batch
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if next(csv.reader(fh), None) != header:
+                raise DataError(
+                    f"{path}:1: expected header {','.join(header)}")
+            for lineno, rows, flat in _row_batches(fh, width):
+                try:
+                    batch = by_columns(flat)
+                except (KeyError, ValueError):
+                    batch = by_rows(rows, lineno)
+                for column, part in zip((roads, hours, *cells), batch):
+                    column.extend(part)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
     if not roads:
         raise DataError(f"{path}: no rows")
     distinct = sorted(set(hour_of.values()))
@@ -250,7 +360,8 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
         raise DataError(f"{path}: road {road_ids[r]!r} is missing hour "
                         f"{_stamp(first + h)}")
     try:
-        flat = np.array(cells, dtype=convert).reshape(keys.size, -1)
+        flat = np.stack([np.array(column, dtype=convert) for column in cells],
+                        axis=1)
     except OverflowError:
         raise DataError(f"{path}: a {what} value is out of range") from None
     values = np.empty_like(flat)
@@ -258,16 +369,24 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     return values.reshape(len(road_ids), span, -1), _EPOCH + first * HOUR
 
 
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it inside a row, quoted where needed."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])
+    return out.getvalue()[:-len(",\r\n")]
+
+
 def _write_road_hours(path, header: list[str], values: np.ndarray,
                       start: datetime, road_ids: list[str]) -> None:
-    """Values (roads, hours, k) as a road×hour table, road by road."""
+    """Values (roads, hours, k) as a road×hour table, road by road, in the
+    bytes csv.writer writes: CRLF line ends and each value's `repr`."""
     stamps = [(start + h * HOUR).isoformat() for h in range(values.shape[1])]
+    line = "{},{}" + ",{!r}" * values.shape[2] + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rid, road in zip(road_ids, values.tolist()):
-            writer.writerows([rid, stamp, *cells]
-                             for stamp, cells in zip(stamps, road))
+        fh.write(",".join(header) + "\r\n")
+        for rid, road in zip(road_ids, values.transpose(0, 2, 1).tolist()):
+            fh.write("".join(map(line.format, repeat(_csv_field(rid)),
+                                 stamps, *road)))
 
 
 def write_measurements_csv(path, series: TrafficSeries,

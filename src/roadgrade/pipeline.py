@@ -202,16 +202,26 @@ def _read_graphs(cfg: RunConfig, road_ids: list[str],
     return graphs.GraphSet(**matrices)
 
 
-def _prepared(cfg: RunConfig, horizon: int, *wanted: str):
+def _prepared(cfg: RunConfig, horizon: int, *wanted: str, inputs=None,
+              targets: bool = True):
     """What the model stages share: the graphs read, and the samples of the
-    `wanted` splits ("train", "val", "test"), in that order."""
-    _, series, road_ids = load_inputs(cfg)
+    `wanted` splits ("train", "val", "test"), in that order.
+
+    `inputs` are those `load_inputs` returns, read here when not given.
+    Without `targets`, the samples hold no grades and the grade file is not
+    read.
+    """
+    _, series, road_ids = inputs or load_inputs(cfg)
     splits, window = split_hours(cfg, series.t, horizon)
     normalized = data.minmax_normalize(series, window)
-    grade_path = artifact(cfg, "grades", horizon, "csv")
-    grade_values, start = _read_grades(grade_path, road_ids, cfg.n_grades)
-    if start != series.start or grade_values.shape[1] != series.t:
-        raise DataError(f"{grade_path} does not cover the measurement series")
+    grade_values = None
+    if targets:
+        grade_path = artifact(cfg, "grades", horizon, "csv")
+        grade_values, start = _read_grades(grade_path, road_ids,
+                                           cfg.n_grades)
+        if start != series.start or grade_values.shape[1] != series.t:
+            raise DataError(
+                f"{grade_path} does not cover the measurement series")
     graph_set = _read_graphs(cfg, road_ids, window)
     anchors = dict(zip(("train", "val", "test"), splits))
     samples = tuple(data.enumerate_samples(normalized, grade_values,
@@ -246,8 +256,8 @@ def run_synth(cfg: RunConfig) -> list[Path]:
     return [Path(cfg.network), Path(cfg.measurements)]
 
 
-def run_graphs(cfg: RunConfig, horizon: int) -> list[Path]:
-    net, series, road_ids = load_inputs(cfg)
+def run_graphs(cfg: RunConfig, horizon: int, inputs=None) -> list[Path]:
+    net, series, road_ids = inputs or load_inputs(cfg)
     _, window = split_hours(cfg, series.t, horizon)
     if cfg.pattern_hours > window[1] - window[0]:
         raise ConfigError(f"pattern_hours {cfg.pattern_hours} exceeds the "
@@ -281,8 +291,8 @@ def run_graphs(cfg: RunConfig, horizon: int) -> list[Path]:
     return written
 
 
-def run_label(cfg: RunConfig, horizon: int) -> list[Path]:
-    _, series, road_ids = load_inputs(cfg)
+def run_label(cfg: RunConfig, horizon: int, inputs=None) -> list[Path]:
+    _, series, road_ids = inputs or load_inputs(cfg)
     _, window = split_hours(cfg, series.t, horizon)
     normalized = data.minmax_normalize(series, window)
     grades = grading.label_series(
@@ -319,8 +329,8 @@ def run_train(cfg: RunConfig, horizon: int) -> list[Path]:
 
 
 def run_predict(cfg: RunConfig, horizon: int) -> list[Path]:
-    series, road_ids, graph_set, (test_set,) = _prepared(cfg, horizon,
-                                                          "test")
+    series, road_ids, graph_set, (test_set,) = _prepared(
+        cfg, horizon, "test", targets=False)
     if not test_set:
         raise DataError("test split is empty; nothing to predict")
     state = model.load_checkpoint(artifact(cfg, "checkpoint", horizon, "json"),
@@ -392,14 +402,16 @@ def run_ablate(cfg: RunConfig) -> list[Path]:
     """Train the full model and the single-resolution variants, then compare.
 
     Self-contained: per horizon it runs `graphs` and `label`, then trains,
-    so only the network and measurement files are required up front.
+    so only the network and measurement files are required up front.  It
+    reads them once for every horizon.
     """
+    inputs = load_inputs(cfg)
     rows = []
     for horizon in cfg.horizons:
-        run_graphs(cfg, horizon)
-        run_label(cfg, horizon)
+        run_graphs(cfg, horizon, inputs)
+        run_label(cfg, horizon, inputs)
         _, road_ids, graph_set, (train_set, val_set, test_set) = _prepared(
-            cfg, horizon, "train", "val", "test")
+            cfg, horizon, "train", "val", "test", inputs=inputs)
         if not test_set:
             raise DataError("test split is empty; nothing to compare")
         truth = test_set.target

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from roadgrade import data, graphs
 from roadgrade.cli import main
 from roadgrade.data import enumerate_samples, minmax_normalize, \
     read_grades_csv, read_measurements_csv, write_measurements_csv
@@ -193,6 +194,27 @@ def test_ablate_writes_what_the_stage_commands_write(tmp_path):
                      f"training_log_h{horizon}.json",
                      f"grades_h{horizon}.csv"):
             assert (out / name).read_bytes() == (staged / name).read_bytes()
+
+
+def test_ablate_parses_its_inputs_once_and_predict_no_grades(tmp_path,
+                                                             monkeypatch):
+    config, _ = write_config(tmp_path, horizons=[1, 2])
+    assert main(["synth", "--config", str(config)]) == 0
+    calls = {}
+    for module, name in ((graphs, "read_network_csv"),
+                         (data, "read_measurements_csv"),
+                         (data, "read_grades_csv")):
+        def counted(*args, _read=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _read(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert main(["ablate", "--config", str(config)]) == 0
+    # the grade file is read once per horizon, to score the variants
+    assert calls == {"read_network_csv": 1, "read_measurements_csv": 1,
+                     "read_grades_csv": 2}
+    calls.clear()
+    assert main(["predict", "--config", str(config), "--horizon", "2"]) == 0
+    assert calls == {"read_network_csv": 1, "read_measurements_csv": 1}
 
 
 class TestFailureModes:

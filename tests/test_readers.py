@@ -1,15 +1,19 @@
 """Every file reader either parses its input or raises DataError."""
 
+import csv
+import io
 import re
 import time
-from datetime import datetime
+from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadgrade.data import (TrafficSeries, read_grades_csv,
+from roadgrade import data
+from roadgrade.data import (TrafficSeries, read_csv_rows, read_grades_csv,
                             read_measurements_csv, write_grades_csv,
                             write_measurements_csv)
 from roadgrade.errors import DataError
@@ -132,3 +136,240 @@ def test_rows_centuries_apart_fail_at_once(tmp_path, header, cell):
     with pytest.raises(DataError, match="missing hour"):
         read(path, ["A"])
     assert time.perf_counter() - started < 1.0
+
+
+# -- the road×hour table against its row-by-row reference ---------------------
+
+_EPOCH = datetime(1, 1, 1)
+_HOUR = timedelta(hours=1)
+
+
+def _reference_parse_hour(raw, path, lineno):
+    try:
+        ts = datetime.fromisoformat(raw)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: bad timestamp {raw!r}") from None
+    if ts.minute or ts.second or ts.microsecond or ts.tzinfo is not None:
+        raise DataError(
+            f"{path}:{lineno}: timestamp {raw!r} must be a naive whole hour")
+    return (ts - _EPOCH) // _HOUR
+
+
+def _reference_stamp(hour):
+    return (_EPOCH + hour * _HOUR).isoformat()
+
+
+def reference_read_road_hours(path, header, road_ids, convert):
+    """The road×hour reader as it was before batches: one csv.reader row at
+    a time, the oracle for `data._read_road_hours`."""
+    rows = read_csv_rows(path)
+    if next(rows, None) != header:
+        raise DataError(f"{path}:1: expected header {','.join(header)}")
+    width, what = len(header), "/".join(header[2:])
+    index = {rid: r for r, rid in enumerate(road_ids)}
+    hour_of = {}
+    roads, hours, cells = [], [], []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != width:
+            if not row:
+                continue
+            raise DataError(f"{path}:{lineno}: expected {width} columns")
+        r = index.get(row[0])
+        if r is None:
+            raise DataError(f"{path}:{lineno}: unknown road id {row[0]!r}; "
+                            "road ids disagree with the network")
+        hour = hour_of.get(row[1])
+        if hour is None:
+            hour = hour_of[row[1]] = _reference_parse_hour(row[1], path,
+                                                           lineno)
+        try:
+            cells.extend(map(convert, row[2:]))
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: bad {what} value {row[2:]}") from None
+        roads.append(r)
+        hours.append(hour)
+    if not roads:
+        raise DataError(f"{path}: no rows")
+    distinct = sorted(set(hour_of.values()))
+    first, span = distinct[0], distinct[-1] - distinct[0] + 1
+    if len(distinct) != span:
+        gap = next(a for a, b in zip(distinct, distinct[1:]) if b - a > 1)
+        raise DataError(f"{path}: missing hour {_reference_stamp(gap + 1)}: "
+                        f"no row for the hour after {_reference_stamp(gap)}")
+    keys = np.array(roads) * span + (np.array(hours) - first)
+    filled, first_rows = np.unique(keys, return_index=True)
+    if filled.size < keys.size:
+        i = int(np.setdiff1d(np.arange(keys.size), first_rows)[0])
+        r, h = divmod(int(keys[i]), span)
+        lines = [n for n, row in enumerate(read_csv_rows(path), 1) if row]
+        raise DataError(f"{path}:{lines[i + 1]}: duplicate row for road "
+                        f"{road_ids[r]!r} at {_reference_stamp(first + h)}")
+    if filled.size < len(road_ids) * span:
+        wrong = np.flatnonzero(filled != np.arange(filled.size))
+        r, h = divmod(int(wrong[0]) if wrong.size else filled.size, span)
+        raise DataError(f"{path}: road {road_ids[r]!r} is missing hour "
+                        f"{_reference_stamp(first + h)}")
+    try:
+        flat = np.array(cells, dtype=convert).reshape(keys.size, -1)
+    except OverflowError:
+        raise DataError(f"{path}: a {what} value is out of range") from None
+    values = np.empty_like(flat)
+    values[keys] = flat
+    return values.reshape(len(road_ids), span, -1), _EPOCH + first * _HOUR
+
+
+# (header, convert, values of one cell)
+KINDS = {
+    "measurements": (["road_id", "timestamp", "speed", "flow"], float,
+                     st.lists(st.floats(), min_size=2, max_size=2)),
+    "grades": (["road_id", "timestamp", "grade"], int,
+               st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1,
+                        max_size=1)),
+}
+
+# Road ids that csv.writer leaves unquoted, some with a NUL, which csv.reader
+# reads as any other character, or with what `str.splitlines` takes for a
+# line break, whose batches go through csv.reader; and ids with what makes
+# csv.writer quote them.
+PLAIN_ID = st.text("AB1_- é'\x00\x0b\x85\u2028", max_size=3)
+ANY_ID = st.text('AB1,"\r\n é', max_size=4)
+
+
+@st.composite
+def tables(draw, kind, path):
+    """A valid road×hour table as text: plain road ids and minimal quoting,
+    which mostly takes the `str.split` path, or any ids with every field
+    quoted, which takes the csv.reader path; rows shuffled, blank lines
+    between them, one line end throughout."""
+    header, _, cell = KINDS[kind]
+    ids = draw(st.lists(PLAIN_ID if path == "split" else ANY_ID,
+                        min_size=1, max_size=3, unique=True))
+    hours = draw(st.integers(1, 4))
+    start = datetime(2020, 1, 6) + draw(st.integers(-30, 30)) * _HOUR
+    rows = [[rid, (start + h * _HOUR).isoformat(), *map(repr, draw(cell))]
+            for rid in ids for h in range(hours)]
+    rows = draw(st.permutations(rows))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    quoting = csv.QUOTE_MINIMAL if path == "split" else csv.QUOTE_ALL
+    lines = []
+    for row in [header, *rows]:
+        out = io.StringIO()
+        csv.writer(out, lineterminator=ending, quoting=quoting).writerow(row)
+        lines.append(out.getvalue())
+        if draw(st.booleans()):
+            lines.append(ending)
+    return "".join(lines), ids
+
+
+def _read_both(scratch, content: bytes, kind, ids):
+    """The batched reader's and the reference's result or DataError
+    message, in that order."""
+    header, convert, _ = KINDS[kind]
+    scratch.write_bytes(content)
+    outcomes = []
+    for read in (data._read_road_hours, reference_read_road_hours):
+        try:
+            values, start = read(scratch, header, ids, convert)
+            outcomes.append((values.dtype, values.shape, values.tobytes(),
+                             start))
+        except DataError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@pytest.mark.parametrize("path", ["split", "csv"])
+@pytest.mark.parametrize("kind", list(KINDS))
+@settings(max_examples=80, deadline=None)
+@given(data_=st.data(), batch_lines=st.integers(1, 5))
+def test_valid_table_reads_as_the_reference_reads_it(scratch, kind, path,
+                                                     data_, batch_lines):
+    text, ids = data_.draw(tables(kind, path))
+    assert ('"' in text) == (path == "csv")
+    with mock.patch.object(data, "_BATCH_LINES", batch_lines):
+        batched, reference = _read_both(scratch, text.encode(), kind, ids)
+    assert not isinstance(reference, str), reference
+    assert batched == reference
+
+
+# Characters that break a table's structure, replacing a span of its text;
+# or arbitrary bytes, which need not be UTF-8.
+JUNK = st.one_of(st.text(',"\r\n\x00 AB1.:-Te\x85', max_size=6),
+                 st.binary(max_size=4))
+
+
+@pytest.mark.parametrize("path", ["split", "csv"])
+@pytest.mark.parametrize("kind", list(KINDS))
+@settings(max_examples=120, deadline=None)
+@given(data_=st.data(), batch_lines=st.integers(1, 5),
+       where=st.floats(0, 1), cut=st.integers(0, 8), junk=JUNK)
+def test_mangled_table_fails_as_the_reference_fails(scratch, kind, path,
+                                                    data_, batch_lines,
+                                                    where, cut, junk):
+    text, ids = data_.draw(tables(kind, path))
+    valid = text.encode()
+    at = int(where * len(valid))
+    if isinstance(junk, str):
+        junk = junk.encode()
+    mangled = valid[:at] + junk + valid[at + cut:]
+    with mock.patch.object(data, "_BATCH_LINES", batch_lines):
+        batched, reference = _read_both(scratch, mangled, kind, ids)
+    assert batched == reference
+
+
+@pytest.mark.parametrize("write, read, values", [
+    (lambda path, values, ids: write_measurements_csv(
+        path, TrafficSeries(values, START), ids),
+     lambda path, ids: read_measurements_csv(path, ids).values,
+     np.array([[[0.1, 2.0], [1e-300, 3.5]]] * 6)),
+    (lambda path, values, ids: write_grades_csv(path, values, START, ids),
+     lambda path, ids: read_grades_csv(path, ids)[0],
+     np.array([[1, 2]] * 6)),
+], ids=["measurements", "grades"])
+def test_writer_quotes_road_ids_as_csv_writer_does(tmp_path, write, read,
+                                                    values):
+    ids = ["a,b", 'say "hi"', "two\nlines", "", "cr\rlf\r\n", "plain"]
+    path = tmp_path / "table.csv"
+    write(path, values, ids)
+    cells = values.reshape(len(ids), values.shape[1], -1).tolist()
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(data._MEASUREMENT_HEADER if values.ndim == 3
+                    else data._GRADE_HEADER)
+    for rid, road in zip(ids, cells):
+        writer.writerows([rid, (START + h * _HOUR).isoformat(), *cell]
+                         for h, cell in enumerate(road))
+    assert path.read_bytes() == expected.getvalue().encode()
+    np.testing.assert_array_equal(read(path, ids), values)
+
+
+def _shift_a_field(lines):
+    lines[3] = lines[3].rsplit(b",", 1)[0]  # one field short ...
+    lines[4] = b"1.0," + lines[4]           # ... and one over, next row
+
+
+def _bad_value_then_bad_byte(lines):
+    lines[3] = lines[3][:lines[3].rindex(b",") + 1] + b"x"
+    lines[250] = b"\xff" + lines[250]
+
+
+def _open_quote_until_bad_byte(lines):
+    lines[3] = b'"' + lines[3]
+    lines[250] = b"\xff" + lines[250]
+
+
+@pytest.mark.parametrize("mangle", [
+    _shift_a_field, _bad_value_then_bad_byte, _open_quote_until_bad_byte])
+def test_one_batch_of_many_blocks_fails_as_the_reference_fails(scratch,
+                                                               mangle):
+    # 300 rows in one batch span several of the 8 KB blocks that the text
+    # layer decodes at a time, so a bad byte late in the batch surfaces
+    # only after the rows before it
+    values = np.arange(600, dtype=float).reshape(1, 300, 2)
+    write_measurements_csv(scratch, TrafficSeries(values, START), ["A"])
+    lines = scratch.read_bytes().split(b"\r\n")
+    mangle(lines)
+    batched, reference = _read_both(scratch, b"\r\n".join(lines),
+                                    "measurements", ["A"])
+    assert isinstance(reference, str)
+    assert batched == reference
