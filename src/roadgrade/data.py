@@ -9,11 +9,10 @@ prior weeks, together with the grade targets at tau + horizon.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -199,72 +198,9 @@ def _stamp(hour: int) -> str:
     return (_EPOCH + hour * HOUR).isoformat()
 
 
-# Lines per batch of a road×hour table: about 64 KB of measurement text.
-# That bounds a batch's footprint, and it is under the csv field limit, so
-# no line needs its own length check.
-_BATCH_LINES = 1024
-
-
-def _reraise(error: Exception):
-    """An iterator that raises `error` when asked for its first item."""
-    raise error
-    yield
-
-
-def _row_batches(fh, width: int):
-    """The rows of `fh` from its current line on, a bounded batch at a time.
-
-    Yields (row number of the first row, rows, cells).  `rows` iterates the
-    batch's rows as csv.reader gives them, blank ones as [].  `cells` holds
-    the fields of the non-blank rows, row after row, or is None when one of
-    them has a width other than `width`.
-
-    A batch without `"`, with no line longer than the csv field limit and no
-    line break but CR, LF or CRLF, is split by `str.splitlines` and
-    `str.split`, which then agree with csv.reader.  Any other batch goes
-    through csv.reader, which reads on past the batch to finish a quoted
-    row.  An error while reading is raised after the rows read before it,
-    where csv.reader over the whole file would raise it.
-    """
-    lineno = 2
-    while True:
-        lines, error = [], None
-        try:  # unlike list(), extend keeps the lines read before an error
-            lines.extend(islice(fh, _BATCH_LINES))
-        except UnicodeDecodeError as exc:
-            error = exc
-        if not lines and error is None:
-            return
-        text = "".join(lines)
-        split = text.splitlines()
-        limit = csv.field_size_limit()
-        if ('"' in text or len(split) != len(lines)
-                or len(text) > limit and max(map(len, lines)) > limit):
-            reader = csv.reader(chain(lines, fh if error is None
-                                      else _reraise(error)))
-            rows = []
-            try:
-                for row in reader:
-                    rows.append(row)
-                    if reader.line_num >= len(lines):
-                        break
-            except (UnicodeDecodeError, csv.Error) as exc:
-                error = exc
-            full = [row for row in rows if row]
-            cells = (list(chain.from_iterable(full))
-                     if {width}.issuperset(map(len, full)) else None)
-            count = len(rows)
-        else:
-            full = [line for line in split if line] if "" in split else split
-            if not {width - 1}.issuperset(map(str.count, full, repeat(","))):
-                cells = None
-            else:
-                cells = ",".join(full).split(",") if full else []
-            rows, count = csv.reader(lines), len(lines)
-        yield lineno, rows, cells
-        lineno += count
-        if error is not None:
-            raise error
+# Rows per batch of a road×hour table: about 64 KB of measurement text,
+# which bounds the footprint of a batch's rows and columns.
+_BATCH_ROWS = 1024
 
 
 def _read_road_hours(path, header: list[str], road_ids: list[str],
@@ -285,9 +221,10 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     hour_of: dict[str, int] = {}  # each distinct timestamp is parsed once
     roads, hours, *cells = ([] for _ in header)  # a list per column
 
-    def by_columns(flat: list[str] | None) -> list[list]:
-        if flat is None:
+    def by_columns(rows: list[list[str]]) -> list[list]:
+        if not {0, width}.issuperset(map(len, rows)):
             raise ValueError("a row has another width")
+        flat = list(chain.from_iterable(rows))
         road_col, stamp_col, *value_cols = (flat[c::width]
                                             for c in range(width))
         batch = [list(map(index.__getitem__, road_col))]
@@ -297,7 +234,7 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
         batch.extend(list(map(convert, col)) for col in value_cols)
         return batch
 
-    def by_rows(rows, lineno: int) -> list[list]:
+    def by_rows(rows: list[list[str]], lineno: int) -> list[list]:
         batch = [[] for _ in header]
         for lineno, row in enumerate(rows, start=lineno):
             if len(row) != width:
@@ -326,16 +263,28 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
 
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            if next(csv.reader(fh), None) != header:
+            reader = csv.reader(fh)
+            if next(reader, None) != header:
                 raise DataError(
                     f"{path}:1: expected header {','.join(header)}")
-            for lineno, rows, flat in _row_batches(fh, width):
+            lineno, error = 2, None
+            while error is None:
+                rows = []
+                try:  # unlike list(), extend keeps the rows read before an error
+                    rows.extend(islice(reader, _BATCH_ROWS))
+                except (UnicodeDecodeError, csv.Error) as exc:
+                    error = exc
+                if not rows:
+                    break
                 try:
-                    batch = by_columns(flat)
+                    batch = by_columns(rows)
                 except (KeyError, ValueError):
                     batch = by_rows(rows, lineno)
                 for column, part in zip((roads, hours, *cells), batch):
                     column.extend(part)
+                lineno += len(rows)
+            if error is not None:
+                raise error
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     if not roads:
@@ -369,24 +318,16 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     return values.reshape(len(road_ids), span, -1), _EPOCH + first * HOUR
 
 
-def _csv_field(text: str) -> str:
-    """`text` as csv.writer writes it inside a row, quoted where needed."""
-    out = io.StringIO()
-    csv.writer(out).writerow([text, ""])
-    return out.getvalue()[:-len(",\r\n")]
-
-
 def _write_road_hours(path, header: list[str], values: np.ndarray,
                       start: datetime, road_ids: list[str]) -> None:
-    """Values (roads, hours, k) as a road×hour table, road by road, in the
-    bytes csv.writer writes: CRLF line ends and each value's `repr`."""
+    """Values (roads, hours, k) as a road×hour table, road by road."""
     stamps = [(start + h * HOUR).isoformat() for h in range(values.shape[1])]
-    line = "{},{}" + ",{!r}" * values.shape[2] + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for rid, road in zip(road_ids, values.transpose(0, 2, 1).tolist()):
-            fh.write("".join(map(line.format, repeat(_csv_field(rid)),
-                                 stamps, *road)))
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for rid, road in zip(road_ids, values.tolist()):
+            writer.writerows([rid, stamp, *cells]
+                             for stamp, cells in zip(stamps, road))
 
 
 def write_measurements_csv(path, series: TrafficSeries,

@@ -229,21 +229,23 @@ KINDS = {
 }
 
 # Road ids that csv.writer leaves unquoted, some with a NUL, which csv.reader
-# reads as any other character, or with what `str.splitlines` takes for a
-# line break, whose batches go through csv.reader; and ids with what makes
-# csv.writer quote them.
+# reads as any other character, or with what `str.splitlines` but not
+# csv.reader takes for a line break; and ids with what makes csv.writer
+# quote them.
 PLAIN_ID = st.text("AB1_- é'\x00\x0b\x85\u2028", max_size=3)
 ANY_ID = st.text('AB1,"\r\n é', max_size=4)
 
 
+QUOTING = {"minimal": csv.QUOTE_MINIMAL, "all": csv.QUOTE_ALL}
+
+
 @st.composite
-def tables(draw, kind, path):
+def tables(draw, kind, quoting):
     """A valid road×hour table as text: plain road ids and minimal quoting,
-    which mostly takes the `str.split` path, or any ids with every field
-    quoted, which takes the csv.reader path; rows shuffled, blank lines
-    between them, one line end throughout."""
+    or any ids with every field quoted; rows shuffled, blank lines between
+    them, one line end throughout."""
     header, _, cell = KINDS[kind]
-    ids = draw(st.lists(PLAIN_ID if path == "split" else ANY_ID,
+    ids = draw(st.lists(PLAIN_ID if quoting == "minimal" else ANY_ID,
                         min_size=1, max_size=3, unique=True))
     hours = draw(st.integers(1, 4))
     start = datetime(2020, 1, 6) + draw(st.integers(-30, 30)) * _HOUR
@@ -251,11 +253,11 @@ def tables(draw, kind, path):
             for rid in ids for h in range(hours)]
     rows = draw(st.permutations(rows))
     ending = draw(st.sampled_from(["\n", "\r\n"]))
-    quoting = csv.QUOTE_MINIMAL if path == "split" else csv.QUOTE_ALL
     lines = []
     for row in [header, *rows]:
         out = io.StringIO()
-        csv.writer(out, lineterminator=ending, quoting=quoting).writerow(row)
+        csv.writer(out, lineterminator=ending,
+                   quoting=QUOTING[quoting]).writerow(row)
         lines.append(out.getvalue())
         if draw(st.booleans()):
             lines.append(ending)
@@ -278,15 +280,14 @@ def _read_both(scratch, content: bytes, kind, ids):
     return outcomes
 
 
-@pytest.mark.parametrize("path", ["split", "csv"])
+@pytest.mark.parametrize("quoting", list(QUOTING))
 @pytest.mark.parametrize("kind", list(KINDS))
 @settings(max_examples=80, deadline=None)
-@given(data_=st.data(), batch_lines=st.integers(1, 5))
-def test_valid_table_reads_as_the_reference_reads_it(scratch, kind, path,
-                                                     data_, batch_lines):
-    text, ids = data_.draw(tables(kind, path))
-    assert ('"' in text) == (path == "csv")
-    with mock.patch.object(data, "_BATCH_LINES", batch_lines):
+@given(data_=st.data(), batch_rows=st.integers(1, 5))
+def test_valid_table_reads_as_the_reference_reads_it(scratch, kind, quoting,
+                                                     data_, batch_rows):
+    text, ids = data_.draw(tables(kind, quoting))
+    with mock.patch.object(data, "_BATCH_ROWS", batch_rows):
         batched, reference = _read_both(scratch, text.encode(), kind, ids)
     assert not isinstance(reference, str), reference
     assert batched == reference
@@ -298,21 +299,21 @@ JUNK = st.one_of(st.text(',"\r\n\x00 AB1.:-Te\x85', max_size=6),
                  st.binary(max_size=4))
 
 
-@pytest.mark.parametrize("path", ["split", "csv"])
+@pytest.mark.parametrize("quoting", list(QUOTING))
 @pytest.mark.parametrize("kind", list(KINDS))
 @settings(max_examples=120, deadline=None)
-@given(data_=st.data(), batch_lines=st.integers(1, 5),
+@given(data_=st.data(), batch_rows=st.integers(1, 5),
        where=st.floats(0, 1), cut=st.integers(0, 8), junk=JUNK)
-def test_mangled_table_fails_as_the_reference_fails(scratch, kind, path,
-                                                    data_, batch_lines,
+def test_mangled_table_fails_as_the_reference_fails(scratch, kind, quoting,
+                                                    data_, batch_rows,
                                                     where, cut, junk):
-    text, ids = data_.draw(tables(kind, path))
+    text, ids = data_.draw(tables(kind, quoting))
     valid = text.encode()
     at = int(where * len(valid))
     if isinstance(junk, str):
         junk = junk.encode()
     mangled = valid[:at] + junk + valid[at + cut:]
-    with mock.patch.object(data, "_BATCH_LINES", batch_lines):
+    with mock.patch.object(data, "_BATCH_ROWS", batch_rows):
         batched, reference = _read_both(scratch, mangled, kind, ids)
     assert batched == reference
 
