@@ -270,7 +270,7 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
             lineno, error = 2, None
             while error is None:
                 rows = []
-                try:  # unlike list(), extend keeps the rows read before an error
+                try:  # unlike list(), extend keeps the rows before an error
                     rows.extend(islice(reader, _BATCH_ROWS))
                 except (UnicodeDecodeError, csv.Error) as exc:
                     error = exc
