@@ -318,16 +318,22 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     return values.reshape(len(road_ids), span, -1), _EPOCH + first * HOUR
 
 
+def write_table(path, header: list[str], rows) -> None:
+    """A CSV table: `header`, then `rows`, through `csv.writer`'s defaults
+    (CRLF line ends, fields quoted only where needed)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_road_hours(path, header: list[str], values: np.ndarray,
                       start: datetime, road_ids: list[str]) -> None:
     """Values (roads, hours, k) as a road×hour table, road by road."""
     stamps = [(start + h * HOUR).isoformat() for h in range(values.shape[1])]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rid, road in zip(road_ids, values.tolist()):
-            writer.writerows([rid, stamp, *cells]
-                             for stamp, cells in zip(stamps, road))
+    write_table(path, header, ([rid, stamp, *cells]
+                               for rid, road in zip(road_ids, values.tolist())
+                               for stamp, cells in zip(stamps, road)))
 
 
 def write_measurements_csv(path, series: TrafficSeries,

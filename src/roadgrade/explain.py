@@ -8,12 +8,11 @@ graph type.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_versioned, write_json
+from .data import read_versioned, write_json, write_table
 from .errors import DataError
 from .graphs import GRAPH_KEYS, GRAPH_LETTERS
 from .model import RESOLUTION_KEYS, RESOLUTION_LETTERS
@@ -159,9 +158,7 @@ def read_attention_record(path) -> AttentionRecord:
 def write_report_csv(path, report: dict) -> None:
     """Heatmap in long format: one (row, col, value) line per cell."""
     labels = report["labels"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for row_label, row in zip(labels, report["heatmap"]):
-            for col_label, value in zip(labels, row):
-                writer.writerow([row_label, col_label, repr(value)])
+    write_table(path, ["row", "col", "value"],
+                ([row_label, col_label, value]
+                 for row_label, row in zip(labels, report["heatmap"])
+                 for col_label, value in zip(labels, row)))

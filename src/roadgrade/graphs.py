@@ -10,13 +10,12 @@ consumes the self-loop-augmented symmetric normalization.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .data import TrafficSeries, read_csv_rows
+from .data import TrafficSeries, read_csv_rows, write_table
 from .errors import DataError, DegenerateVarianceError
 
 GRAPH_KEYS = ("topological", "weighted", "pattern", "attribute")
@@ -126,23 +125,6 @@ def build_weighted_topological(net: RoadNetwork) -> np.ndarray:
 # -- dynamic time warping ------------------------------------------------------
 
 
-def dtw_distance(a, b) -> float:
-    """Classic DTW with |a_i - b_j| step cost and unit moves."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("DTW sequences must be non-empty")
-    n, m = a.size, b.size
-    table = np.full((n + 1, m + 1), np.inf)
-    table[0, 0] = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            cost = abs(a[i - 1] - b[j - 1])
-            table[i, j] = cost + min(table[i - 1, j], table[i, j - 1],
-                                     table[i - 1, j - 1])
-    return float(table[n, m])
-
-
 def _dtw_workspace(length: int, rows: int) -> list[np.ndarray]:
     """The working arrays of `_pairwise_dtw` for up to `rows` rows of
     `length`: first, second, prev, cur, cost and best."""
@@ -155,9 +137,10 @@ def _pairwise_dtw(seqs: np.ndarray, workspace: list[np.ndarray]) -> np.ndarray:
 
     One dynamic program over all unordered pairs of every leading index at
     once.  It is laid out (L + 1, rows), so each step works on contiguous
-    rows, and uses only abs, min and +, so it agrees exactly with
-    dtw_distance on each pair.  The `workspace` lets repeated calls reuse
-    their working memory; the result does not depend on it.
+    rows, and uses only abs, min and +, so it agrees exactly with the
+    pair-by-pair `dtw_distance` of tests/oracles.py.  The `workspace` lets
+    repeated calls reuse their working memory; the result does not depend
+    on it.
     """
     *batch, n, length = seqs.shape
     out = np.zeros((*batch, n, n))
@@ -384,14 +367,9 @@ _EDGE_HEADER = ["road_a", "road_b"]
 
 def write_network_csv(path, net: RoadNetwork, road_ids: list[str]) -> None:
     """Single-file network description: road rows, then an edge section."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ROAD_HEADER)
-        for rid, length in zip(road_ids, net.lengths):
-            writer.writerow([rid, repr(float(length))])
-        writer.writerow(_EDGE_HEADER)
-        for a, b in net.edges:
-            writer.writerow([road_ids[a], road_ids[b]])
+    write_table(path, _ROAD_HEADER,
+                [*zip(road_ids, net.lengths.tolist()), _EDGE_HEADER,
+                 *([road_ids[a], road_ids[b]] for a, b in net.edges)])
 
 
 def read_network_csv(path) -> tuple[RoadNetwork, list[str]]:
@@ -443,11 +421,7 @@ def read_network_csv(path) -> tuple[RoadNetwork, list[str]]:
 
 def write_adjacency_csv(path, matrix: np.ndarray, road_ids: list[str]) -> None:
     """N x N adjacency as CSV with a road-identifier header row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(road_ids)
-        for row in np.asarray(matrix):
-            writer.writerow([repr(float(v)) for v in row])
+    write_table(path, road_ids, np.asarray(matrix, dtype=np.float64).tolist())
 
 
 def read_adjacency_csv(path) -> tuple[np.ndarray, list[str]]:

@@ -258,6 +258,7 @@ def run_synth(cfg: RunConfig) -> list[Path]:
 
 def run_graphs(cfg: RunConfig, horizon: int, inputs=None) -> list[Path]:
     net, series, road_ids = inputs or load_inputs(cfg)
+    cfg.model_config(net.n)  # a config `train` refuses builds no graph
     _, window = split_hours(cfg, series.t, horizon)
     if cfg.pattern_hours > window[1] - window[0]:
         raise ConfigError(f"pattern_hours {cfg.pattern_hours} exceeds the "
@@ -368,22 +369,19 @@ def run_evaluate(cfg: RunConfig, horizon: int) -> list[Path]:
             f"{pred_path} does not cover the {len(test)} test hours from "
             f"{first_stamp.isoformat()}; rerun predict")
     truth = grade_values[:, first:last]
-    mae = metrics.grade_mae_series(preds, truth)
     payload = {
         "horizon": horizon,
         "accuracy": metrics.accuracy(preds, truth),
         "quadratic_weighted_kappa": metrics.quadratic_weighted_kappa(
             preds, truth, cfg.n_grades),
-        "mae_series": mae.tolist(),
     }
     metrics_path = artifact(cfg, "metrics", horizon, "json")
     data.write_json(metrics_path, payload)
+    mae = metrics.grade_mae_series(preds, truth).tolist()
     mae_path = artifact(cfg, "mae_series", horizon, "csv")
-    with open(mae_path, "w", newline="") as fh:
-        fh.write("timestamp,grade_mae\n")
-        for offset, value in enumerate(mae):
-            stamp = (first_stamp + offset * data.HOUR).isoformat()
-            fh.write(f"{stamp},{value!r}\n")
+    data.write_table(mae_path, ["timestamp", "grade_mae"],
+                     ([(first_stamp + offset * data.HOUR).isoformat(), value]
+                      for offset, value in enumerate(mae)))
     return [metrics_path, mae_path]
 
 
@@ -419,19 +417,9 @@ def run_ablate(cfg: RunConfig) -> list[Path]:
             state = _train_and_save(cfg, horizon, len(road_ids), graph_set,
                                     train_set, val_set, variant)
             preds, _ = model.predict_many(state, test_set, graph_set)
-            rows.append({
-                "variant": variant,
-                "horizon": horizon,
-                "accuracy": metrics.accuracy(preds, truth),
-                "kappa": metrics.quadratic_weighted_kappa(
-                    preds, truth, cfg.n_grades),
-            })
-    json_path = cfg.out_path("ablation.json")
-    data.write_json(json_path, {"rows": rows})
-    csv_path = cfg.out_path("ablation.csv")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("variant,horizon,accuracy,kappa\n")
-        for row in rows:
-            fh.write(f"{row['variant']},{row['horizon']},"
-                     f"{row['accuracy']!r},{row['kappa']!r}\n")
-    return [json_path, csv_path]
+            rows.append([variant, horizon, metrics.accuracy(preds, truth),
+                         metrics.quadratic_weighted_kappa(
+                             preds, truth, cfg.n_grades)])
+    path = cfg.out_path("ablation.csv")
+    data.write_table(path, ["variant", "horizon", "accuracy", "kappa"], rows)
+    return [path]

@@ -299,40 +299,7 @@ def log_softmax(values, axis: int = -1) -> Array:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-# -- verification and initialization ------------------------------------------
-
-
-def grad_check(f: Callable[[Tensor], Tensor], point: Tensor,
-               eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Per coordinate the error is |analytic - numeric| / max(1, |analytic|);
-    raises NumericError if `f` returns a non-finite value at any probe.
-    """
-    if not 0.0 < eps <= 1e-2:
-        raise ValueError("eps must be in (0, 1e-2]")
-    point.requires_grad = True
-    point.zero_grad()
-    out = f(point)
-    if not np.isfinite(out.data).all():
-        raise NumericError("function returned non-finite value at the point")
-    out.backward()
-    analytic = np.zeros_like(point.data) if point.grad is None else point.grad
-
-    worst = 0.0
-    for idx in np.ndindex(point.shape):
-        original = point.data[idx]
-        point.data[idx] = original + eps
-        hi = f(point).item()
-        point.data[idx] = original - eps
-        lo = f(point).item()
-        point.data[idx] = original
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise NumericError(f"non-finite probe at coordinate {idx}")
-        numeric = (hi - lo) / (2.0 * eps)
-        err = abs(analytic[idx] - numeric) / max(1.0, abs(analytic[idx]))
-        worst = max(worst, err)
-    return worst
+# -- initialization -----------------------------------------------------------
 
 
 def glorot_uniform(shape: Sequence[int], rng: np.random.Generator) -> Array:

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline on a miniature synthetic corpus."""
 
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -14,7 +15,8 @@ from roadgrade.data import enumerate_samples, minmax_normalize, \
     read_grades_csv, read_measurements_csv, write_measurements_csv
 from roadgrade.graphs import GRAPH_KEYS, GraphSet, read_adjacency_csv, \
     read_network_csv, write_network_csv, RoadNetwork
-from roadgrade.metrics import accuracy, quadratic_weighted_kappa
+from roadgrade.metrics import accuracy, grade_mae_series, \
+    quadratic_weighted_kappa
 from roadgrade.model import CHECKPOINT_VERSION, load_checkpoint, \
     predict_many
 from roadgrade.pipeline import load_config, split_hours
@@ -114,7 +116,26 @@ class TestPipeline:
         payload = json.loads((out / "metrics_h1.json").read_text())
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert -1.0 <= payload["quadratic_weighted_kappa"] <= 1.0
-        assert len(payload["mae_series"]) == MINI["test_size"]
+        # the per-hour MAE lives in mae_series_h1.csv only
+        assert set(payload) == {"horizon", "accuracy",
+                                "quadratic_weighted_kappa"}
+
+    def test_mae_series_reads_back_as_floats_per_test_hour(self, pipeline):
+        _, config, out = pipeline
+        cfg = load_config(str(config))
+        _, road_ids = read_network_csv(cfg.network)
+        grades, start = read_grades_csv(out / "grades_h1.csv", road_ids)
+        preds, _ = read_grades_csv(out / "predictions_h1.csv", road_ids)
+        (_, _, test), _ = split_hours(cfg, grades.shape[1], 1)
+        first = test.start + 1
+        with open(out / "mae_series_h1.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["timestamp", "grade_mae"]
+        assert [stamp for stamp, _ in rows] == [
+            (start + (first + k) * data.HOUR).isoformat()
+            for k in range(len(test))]
+        expected = grade_mae_series(preds, grades[:, first:first + len(test)])
+        assert [float(value) for _, value in rows] == expected.tolist()
 
     def test_importance_sums_to_one(self, pipeline):
         _, _, out = pipeline
@@ -171,12 +192,13 @@ def test_ablate_emits_comparison_table(tmp_path):
                                test_size=10)
     assert main(["synth", "--config", str(config)]) == 0
     assert main(["ablate", "--config", str(config)]) == 0
-    table = json.loads((out / "ablation.json").read_text())
-    variants = {row["variant"] for row in table["rows"]}
-    assert variants == {"full", "hourly", "daily", "weekly"}
-    assert all(0.0 <= row["accuracy"] <= 1.0 for row in table["rows"])
-    assert (out / "ablation.csv").read_text().startswith(
-        "variant,horizon,accuracy,kappa\n")
+    with open(out / "ablation.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["variant", "horizon", "accuracy", "kappa"]
+    assert {variant for variant, *_ in rows} == {"full", "hourly", "daily",
+                                                 "weekly"}
+    assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
+    assert not (out / "ablation.json").exists()
     for variant in ("", "_hourly", "_daily", "_weekly"):
         assert (out / f"checkpoint_h1{variant}.json").exists()
 
@@ -254,6 +276,17 @@ class TestFailureModes:
         assert err.startswith("config error: ") and "pattern_hours" in err
         assert "604 h" in err
         assert not (out / "adjacency_pattern.csv").exists()
+
+    @pytest.mark.parametrize("command", ["graphs", "ablate"])
+    def test_heads_not_dividing_roads_exits_1_before_graphs(
+            self, tmp_path, capsys, command):
+        config, out = write_config(tmp_path, heads=4)  # 6 roads
+        assert main(["synth", "--config", str(config)]) == 0
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "head count 4" in err
+        assert not list(out.glob("adjacency_*.csv"))
 
     def test_missing_inputs_exit_2(self, tmp_path):
         config, _ = write_config(tmp_path)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dtw_distance
 from roadgrade import graphs
 from roadgrade.data import TrafficSeries
 from roadgrade.errors import DataError, DegenerateVarianceError
 from roadgrade.graphs import (GRAPH_KEYS, GraphSet, RoadNetwork,
                               _pairwise_dtw, build_attribute_graph,
                               build_pattern_graph, build_topological,
-                              build_weighted_topological, dtw_distance,
+                              build_weighted_topological,
                               global_morans_i, local_morans_i,
                               normalize_adjacency, read_adjacency_csv,
                               read_network_csv, shortest_paths,

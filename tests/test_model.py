@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import ToySetup, random_symmetric, toy_config
+from oracles import grad_check
 from roadgrade import model
 from roadgrade.data import Samples
 from roadgrade.errors import DataError
@@ -17,7 +18,7 @@ from roadgrade.model import (build_combinations, channel_fuse,
                              load_checkpoint, nll_loss, predict_many,
                              save_checkpoint, shared_gcn_layer,
                              temporal_attention, train)
-from roadgrade.tensor import Tensor, grad_check, softmax
+from roadgrade.tensor import Tensor, softmax
 
 
 def _channels(z_speed, z_flow):

@@ -1,0 +1,34 @@
+"""The package's shape: every definition in it is used by it, and one module
+holds the CSV format."""
+
+import ast
+from pathlib import Path
+
+import roadgrade
+
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+           for path in sorted(Path(roadgrade.__file__).parent.glob("*.py"))}
+
+
+def _nodes(kind):
+    return [(name, node) for name, tree in MODULES.items()
+            for node in ast.walk(tree) if isinstance(node, kind)]
+
+
+def test_every_definition_is_referenced_from_the_package():
+    referenced = {node.id for _, node in _nodes(ast.Name)}
+    referenced |= {node.attr for _, node in _nodes(ast.Attribute)}
+    defined = _nodes((ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    unused = sorted(f"{module}: {node.name}" for module, node in defined
+                    if not (node.name.startswith("__")
+                            and node.name.endswith("__"))
+                    and node.name not in referenced)
+    assert unused == []
+
+
+def test_only_data_imports_csv():
+    importers = {module for module, node in _nodes(ast.Import)
+                 if any(alias.name == "csv" for alias in node.names)}
+    importers |= {module for module, node in _nodes(ast.ImportFrom)
+                  if node.module == "csv"}
+    assert importers == {"data.py"}

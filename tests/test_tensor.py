@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import grad_check
 from roadgrade.errors import NumericError
 from roadgrade.optim import ParamSet
 from roadgrade.tensor import (Tensor, attention, concat, glorot_uniform,
-                              grad_check, log_softmax, softmax)
+                              log_softmax, softmax)
 
 
 class TestSoftmax:
