@@ -212,9 +212,8 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     as `convert`'s numpy type, and the first hour.
 
     Each batch of rows is converted a column at a time, through dicts for
-    the road ids and timestamps and `convert` for the values.  The first
-    problem in a batch sends it through the row-by-row loop instead, which
-    names the first bad row and what is wrong with it.
+    the road ids and timestamps and `convert` for the values.  A batch that
+    fails is converted again a row at a time, to name the first bad row.
     """
     width, what = len(header), "/".join(header[2:])
     index = {rid: r for r, rid in enumerate(road_ids)}
@@ -222,71 +221,53 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     roads, hours, *cells = ([] for _ in header)  # a list per column
 
     def by_columns(rows: list[list[str]]) -> list[list]:
+        """The columns of `rows`, blank rows skipped.  ValueError says what
+        is wrong, with the row's values when `rows` is one row."""
         if not {0, width}.issuperset(map(len, rows)):
-            raise ValueError("a row has another width")
+            raise ValueError(f"expected {width} columns")
         flat = list(chain.from_iterable(rows))
         road_col, stamp_col, *value_cols = (flat[c::width]
                                             for c in range(width))
-        batch = [list(map(index.__getitem__, road_col))]
+        try:
+            batch = [list(map(index.__getitem__, road_col))]
+        except KeyError as exc:
+            raise ValueError(f"unknown road id {exc.args[0]!r}; road ids "
+                             "disagree with the network") from None
         for raw in set(stamp_col).difference(hour_of):
             hour_of[raw] = _parse_hour(raw)
         batch.append(list(map(hour_of.__getitem__, stamp_col)))
-        batch.extend(list(map(convert, col)) for col in value_cols)
+        try:
+            batch.extend(list(map(convert, col)) for col in value_cols)
+        except ValueError:
+            raise ValueError(f"bad {what} value {flat[2:width]}") from None
         return batch
 
-    def by_rows(rows: list[list[str]], lineno: int) -> list[list]:
-        batch = [[] for _ in header]
-        for lineno, row in enumerate(rows, start=lineno):
-            if len(row) != width:
-                if not row:
-                    continue
-                raise DataError(f"{path}:{lineno}: expected {width} columns")
-            r = index.get(row[0])
-            if r is None:
-                raise DataError(f"{path}:{lineno}: unknown road id "
-                                f"{row[0]!r}; road ids disagree with the "
-                                "network")
-            hour = hour_of.get(row[1])
-            if hour is None:
+    source = read_csv_rows(path)
+    if next(source, None) != header:
+        raise DataError(f"{path}:1: expected header {','.join(header)}")
+    record, error = 2, None
+    while error is None:
+        rows = []
+        try:  # unlike list(), extend keeps the rows before an error
+            rows.extend(islice(source, _BATCH_ROWS))
+        except DataError as exc:
+            error = exc
+        if not rows:
+            break
+        try:
+            batch = by_columns(rows)
+        except ValueError:
+            for record, row in enumerate(rows, start=record):
                 try:
-                    hour = hour_of[row[1]] = _parse_hour(row[1])
+                    by_columns([row])
                 except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-            try:
-                values = [convert(raw) for raw in row[2:]]
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: bad {what} value {row[2:]}") from None
-            for column, item in zip(batch, (r, hour, *values)):
-                column.append(item)
-        return batch
-
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != header:
-                raise DataError(
-                    f"{path}:1: expected header {','.join(header)}")
-            lineno, error = 2, None
-            while error is None:
-                rows = []
-                try:  # unlike list(), extend keeps the rows before an error
-                    rows.extend(islice(reader, _BATCH_ROWS))
-                except (UnicodeDecodeError, csv.Error) as exc:
-                    error = exc
-                if not rows:
-                    break
-                try:
-                    batch = by_columns(rows)
-                except (KeyError, ValueError):
-                    batch = by_rows(rows, lineno)
-                for column, part in zip((roads, hours, *cells), batch):
-                    column.extend(part)
-                lineno += len(rows)
-            if error is not None:
-                raise error
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+                    raise DataError(f"{path}:{record}: {exc}") from None
+            raise  # a fault always belongs to one row
+        for column, part in zip((roads, hours, *cells), batch):
+            column.extend(part)
+        record += len(rows)
+    if error is not None:
+        raise error
     if not roads:
         raise DataError(f"{path}: no rows")
     distinct = sorted(set(hour_of.values()))

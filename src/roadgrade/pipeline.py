@@ -154,6 +154,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 def load_inputs(cfg: RunConfig):
     net, road_ids = graphs.read_network_csv(cfg.network)
+    cfg.model_config(net.n)  # a config `train` refuses reaches no stage
     series = data.read_measurements_csv(cfg.measurements, road_ids)
     return net, series, road_ids
 
@@ -161,13 +162,17 @@ def load_inputs(cfg: RunConfig):
 def split_hours(cfg: RunConfig, series_t: int, horizon: int):
     """The split's anchor ranges and the fit window: the hours that fitted
     state (normalization, graphs, grades) sees, up to the last training
-    target."""
+    target.  The pattern graph's window must fit inside it."""
     try:
         splits = data.split_anchors(series_t, horizon, cfg.windows,
                                     cfg.split_sizes)
     except DataError as exc:
         raise DataError(f"{cfg.measurements}: {exc}") from None
-    return splits, (0, splits[0].stop + horizon)
+    fit_hours = splits[0].stop + horizon
+    if cfg.pattern_hours > fit_hours:
+        raise ConfigError(f"pattern_hours {cfg.pattern_hours} exceeds the "
+                          f"{fit_hours} h fit window")
+    return splits, (0, fit_hours)
 
 
 def _read_grades(path: Path, road_ids: list[str], n_grades: int):
@@ -258,11 +263,7 @@ def run_synth(cfg: RunConfig) -> list[Path]:
 
 def run_graphs(cfg: RunConfig, horizon: int, inputs=None) -> list[Path]:
     net, series, road_ids = inputs or load_inputs(cfg)
-    cfg.model_config(net.n)  # a config `train` refuses builds no graph
     _, window = split_hours(cfg, series.t, horizon)
-    if cfg.pattern_hours > window[1] - window[0]:
-        raise ConfigError(f"pattern_hours {cfg.pattern_hours} exceeds the "
-                          f"{window[1] - window[0]} h fit window")
     graph_set = graphs.GraphSet.build(
         net, series, window, alpha_speed=cfg.alpha_speed,
         alpha_flow=cfg.alpha_flow, pattern_hours=cfg.pattern_hours)

@@ -265,7 +265,10 @@ class TestFailureModes:
         assert "Traceback" not in err
         assert not (out / "grades_h1.csv").exists()
 
-    @pytest.mark.parametrize("command", ["graphs", "ablate"])
+    # every stage that reads the measurements refuses what `graphs` refuses,
+    # before it writes anything or reads another stage's output
+    @pytest.mark.parametrize("command",
+                             ["graphs", "label", "train", "predict", "ablate"])
     def test_pattern_longer_than_fit_window_exits_1(self, tmp_path, capsys,
                                                     command):
         # MINI's fit window at horizon 1 is hours [0, 604)
@@ -275,9 +278,10 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "pattern_hours" in err
         assert "604 h" in err
-        assert not (out / "adjacency_pattern.csv").exists()
+        assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("command", ["graphs", "ablate"])
+    @pytest.mark.parametrize("command",
+                             ["graphs", "label", "train", "predict", "ablate"])
     def test_heads_not_dividing_roads_exits_1_before_graphs(
             self, tmp_path, capsys, command):
         config, out = write_config(tmp_path, heads=4)  # 6 roads
@@ -286,7 +290,7 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "head count 4" in err
-        assert not list(out.glob("adjacency_*.csv"))
+        assert not list(out.iterdir())
 
     def test_missing_inputs_exit_2(self, tmp_path):
         config, _ = write_config(tmp_path)

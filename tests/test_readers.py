@@ -374,3 +374,26 @@ def test_one_batch_of_many_blocks_fails_as_the_reference_fails(scratch,
                                     "measurements", ["A"])
     assert isinstance(reference, str)
     assert batched == reference
+
+
+# Faults of three kinds, by the record of one batch they go in; record n is
+# `lines[n - 1]`, the header being record 1
+FAULTS = {
+    4: lambda line: line[:line.rindex(b",") + 1] + b"x",  # bad value
+    9: lambda line: b"Z" + line[1:],                      # unknown road id
+    20: lambda line: line.replace(b"-01-", b"-13-", 1),   # bad timestamp
+}
+
+
+@pytest.mark.parametrize("first", list(FAULTS))
+def test_first_of_several_faults_in_one_batch_is_named(scratch, first):
+    values = np.arange(2.0 * data._BATCH_ROWS).reshape(1, -1, 2)
+    write_measurements_csv(scratch, TrafficSeries(values, START), ["A"])
+    lines = scratch.read_bytes().split(b"\r\n")
+    for record, fault in FAULTS.items():
+        if record >= first:
+            lines[record - 1] = fault(lines[record - 1])
+    batched, reference = _read_both(scratch, b"\r\n".join(lines),
+                                    "measurements", ["A"])
+    assert batched == reference
+    assert batched.startswith(f"{scratch}:{first}: ")

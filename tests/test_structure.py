@@ -1,5 +1,5 @@
-"""The package's shape: every definition in it is used by it, and one module
-holds the CSV format."""
+"""The package's shape: every definition in it is used by it, and one module,
+through one reader and one writer, holds the CSV format."""
 
 import ast
 from pathlib import Path
@@ -32,3 +32,19 @@ def test_only_data_imports_csv():
     importers |= {module for module, node in _nodes(ast.ImportFrom)
                   if node.module == "csv"}
     assert importers == {"data.py"}
+
+
+def test_one_function_reads_and_one_writes_csv():
+    functions = _nodes((ast.FunctionDef, ast.AsyncFunctionDef))
+    callers = {}
+    for module, call in _nodes(ast.Call):
+        func = call.func
+        if (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "csv"
+                and func.attr in ("reader", "writer")):
+            around = [node.name for name, node in functions
+                      if name == module and call in ast.walk(node)]
+            callers.setdefault(func.attr, []).append((module, *around))
+    assert callers == {"reader": [("data.py", "read_csv_rows")],
+                       "writer": [("data.py", "write_table")]}
