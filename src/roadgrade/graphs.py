@@ -20,10 +20,6 @@ from .errors import DataError, DegenerateVarianceError
 
 GRAPH_KEYS = ("topological", "weighted", "pattern", "attribute")
 
-# short letters used in combination labels and report files
-GRAPH_LETTERS = {"topological": "r", "weighted": "w", "pattern": "p",
-                 "attribute": "s"}
-
 
 @dataclass(frozen=True)
 class RoadNetwork:

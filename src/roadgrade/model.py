@@ -21,12 +21,19 @@ import numpy as np
 
 from .data import Samples, read_versioned, write_json
 from .errors import DataError, NumericError
-from .graphs import GraphSet, GRAPH_KEYS, GRAPH_LETTERS
+from .graphs import GraphSet, GRAPH_KEYS
 from .optim import ParamSet, adam_step
 from .tensor import Tensor, attention, concat, glorot_uniform
 
 RESOLUTION_KEYS = ("hour", "day", "week")
 RESOLUTION_LETTERS = {"hour": "h", "day": "d", "week": "w"}
+GRAPH_LETTERS = {"topological": "r", "weighted": "w", "pattern": "p",
+                 "attribute": "s"}
+
+# the full model's (resolution, graph) combinations in forward order, as
+# graph letter _ resolution letter, e.g. "r_h"
+COMBINATION_LABELS = tuple(f"{GRAPH_LETTERS[g]}_{RESOLUTION_LETTERS[r]}"
+                           for r in RESOLUTION_KEYS for g in GRAPH_KEYS)
 
 CHECKPOINT_FORMAT = "roadgrade-checkpoint"
 CHECKPOINT_VERSION = 3
@@ -70,10 +77,6 @@ class ModelConfig:
     def window(self, resolution: str) -> int:
         return {"hour": self.window_hours, "day": self.window_days,
                 "week": self.window_weeks}[resolution]
-
-    def combination_labels(self) -> list[str]:
-        return [f"{GRAPH_LETTERS[g]}_{RESOLUTION_LETTERS[r]}"
-                for r in self.resolutions for g in GRAPH_KEYS]
 
 
 @dataclass

@@ -342,10 +342,8 @@ def run_predict(cfg: RunConfig, horizon: int) -> list[Path]:
     first_target = int(test_set.anchors[0]) + horizon
     data.write_grades_csv(pred_path, preds.T, series.timestamp(first_target),
                           road_ids)
-    record = explain.AttentionRecord(
-        mean_attention, tuple(state.config.combination_labels()), horizon)
     trace_path = artifact(cfg, "attention", horizon, "json")
-    explain.write_attention_record(trace_path, record)
+    explain.write_attention_record(trace_path, mean_attention, horizon)
     return [pred_path, trace_path]
 
 
@@ -387,9 +385,11 @@ def run_evaluate(cfg: RunConfig, horizon: int) -> list[Path]:
 
 
 def run_explain(cfg: RunConfig, horizon: int) -> list[Path]:
-    record = explain.read_attention_record(
-        artifact(cfg, "attention", horizon, "json"))
-    report = explain.build_report(record)
+    n = len(model.COMBINATION_LABELS)
+    attention = explain.read_attention_record(
+        artifact(cfg, "attention", horizon, "json"), horizon,
+        (cfg.heads, n, n, cfg.hidden2))
+    report = explain.build_report(attention, horizon)
     json_path = artifact(cfg, "importance", horizon, "json")
     csv_path = artifact(cfg, "importance", horizon, "csv")
     data.write_json(json_path, report)

@@ -6,7 +6,13 @@ from typing import Callable
 import numpy as np
 
 from roadgrade.errors import NumericError
-from roadgrade.tensor import Tensor
+from roadgrade.graphs import GRAPH_KEYS
+from roadgrade.model import GRAPH_LETTERS, RESOLUTION_KEYS, RESOLUTION_LETTERS
+from roadgrade.tensor import Tensor, softmax
+
+_RESOLUTION_BY_LETTER = {letter: key
+                         for key, letter in RESOLUTION_LETTERS.items()}
+_GRAPH_BY_LETTER = {letter: key for key, letter in GRAPH_LETTERS.items()}
 
 
 def grad_check(f: Callable[[Tensor], Tensor], point: Tensor,
@@ -57,3 +63,37 @@ def dtw_distance(a, b) -> float:
             table[i, j] = cost + min(table[i - 1, j], table[i, j - 1],
                                      table[i - 1, j - 1])
     return float(table[n, m])
+
+
+def _split_label(label: str) -> tuple[str, str]:
+    try:
+        graph_letter, res_letter = label.split("_")
+        return _GRAPH_BY_LETTER[graph_letter], _RESOLUTION_BY_LETTER[res_letter]
+    except (ValueError, KeyError):
+        raise ValueError(f"malformed combination label {label!r}") from None
+
+
+def decouple(importance: np.ndarray, labels: tuple[str, ...],
+             axis: str) -> dict[str, float]:
+    """Group the combination importance by resolution or by graph type.
+
+    Members of each group are summed and the group sums renormalized with a
+    softmax; the result maps group names to importance.
+    """
+    importance = np.asarray(importance)
+    if importance.shape != (len(labels),):
+        raise ValueError("importance and labels disagree")
+    if axis == "resolution":
+        group_of = {label: _split_label(label)[1] for label in labels}
+        order = [r for r in RESOLUTION_KEYS if r in set(group_of.values())]
+    elif axis == "graph":
+        group_of = {label: _split_label(label)[0] for label in labels}
+        order = [g for g in GRAPH_KEYS if g in set(group_of.values())]
+    else:
+        raise ValueError(f"unknown axis {axis!r}")
+    sums = np.array([
+        sum(value for label, value in zip(labels, importance)
+            if group_of[label] == name)
+        for name in order])
+    weights = softmax(sums)
+    return {name: float(w) for name, w in zip(order, weights)}

@@ -489,6 +489,28 @@ def _set_label(index, label):
     return tamper
 
 
+def _set_field(key, value):
+    def tamper(path):
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        _set_json(path, payload)
+    return tamper
+
+
+def _reversed_labels(path):
+    payload = json.loads(path.read_text())
+    payload["labels"].reverse()
+    _set_json(path, payload)
+
+
+def _first_head_only(path):
+    payload = json.loads(path.read_text())
+    heads, *rest = payload["shape"]
+    payload["shape"] = [1, *rest]
+    payload["values"] = payload["values"][:len(payload["values"]) // heads]
+    _set_json(path, payload)
+
+
 def _per_graph_kernels(path):
     """Split each stacked GCN kernel into the per-graph entries of the
     version-2 layout, keeping the version-3 header."""
@@ -537,12 +559,18 @@ def _set_parameter(name, value):
     ("explain", "attention_h1.json", _set_label(0, "x_y")),
     ("explain", "attention_h1.json", _set_label(0, 5)),
     ("explain", "attention_h1.json", _set_label(1, "r_h")),
+    ("explain", "attention_h1.json", _reversed_labels),
+    ("explain", "attention_h1.json", _set_field("prediction_length", 3)),
+    ("explain", "attention_h1.json", _set_field("prediction_length", "x")),
+    ("explain", "attention_h1.json", _first_head_only),
 ], ids=["checkpoint-no-config", "checkpoint-list",
         "checkpoint-per-graph-layout", "checkpoint-extra-parameter",
         "checkpoint-nan-query", "checkpoint-nan-bias", "checkpoint-inf-bias",
         "attention-bad-shape",
         "attention-list", "attention-no-values", "attention-unknown-label",
-        "attention-label-not-string", "attention-repeated-label"])
+        "attention-label-not-string", "attention-repeated-label",
+        "attention-reversed-labels", "attention-prediction-length-3",
+        "attention-prediction-length-string", "attention-one-head"])
 def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
                                          name, tamper):
     config, out = _copy_pipeline(pipeline, tmp_path)

@@ -1,19 +1,20 @@
 """Attention aggregation, heatmap normalization and importance decoupling."""
 
+import json
+
 import numpy as np
 import pytest
 
+from oracles import decouple as decouple_by_label
 from roadgrade.data import write_json
 from roadgrade.errors import DataError
-from roadgrade.explain import (AttentionRecord, aggregate_attention,
-                               build_report, combination_importance, decouple,
+from roadgrade.explain import (aggregate_attention, build_report,
+                               combination_importance, decouple,
                                normalize_heatmap, read_attention_record,
                                write_attention_record, write_report_csv)
-from roadgrade.model import forward
+from roadgrade.model import COMBINATION_LABELS, forward
 
-LABELS12 = ("r_h", "w_h", "p_h", "s_h",
-            "r_d", "w_d", "p_d", "s_d",
-            "r_w", "w_w", "p_w", "s_w")
+SHAPE = (2, 12, 12, 3)
 
 
 def uniform_attention(heads=2, tp=12, d=3):
@@ -76,11 +77,17 @@ class TestCombinationImportance:
             1.0, abs=1e-9)
 
 
+def matches_oracle(importance, resolution, graph):
+    """Both views equal, bit for bit, the label-grouping reference."""
+    return (resolution == decouple_by_label(importance, COMBINATION_LABELS,
+                                            "resolution")
+            and graph == decouple_by_label(importance, COMBINATION_LABELS,
+                                           "graph"))
+
+
 class TestDecouple:
     def test_uniform_importance_gives_uniform_groups(self):
-        importance = np.full(12, 1.0 / 12)
-        res = decouple(importance, LABELS12, "resolution")
-        graph = decouple(importance, LABELS12, "graph")
+        res, graph = decouple(np.full(12, 1.0 / 12))
         np.testing.assert_allclose(list(res.values()), 1.0 / 3, atol=1e-12)
         np.testing.assert_allclose(list(graph.values()), 1.0 / 4, atol=1e-12)
         assert list(res) == ["hour", "day", "week"]
@@ -90,86 +97,73 @@ class TestDecouple:
     def test_hourly_mass_ranks_hourly_first(self):
         importance = np.zeros(12)
         importance[:4] = 0.25
-        res = decouple(importance, LABELS12, "resolution")
+        res, _ = decouple(importance)
         assert max(res, key=res.get) == "hour"
 
     def test_group_sums_match_index_grouping_oracle(self):
         rng = np.random.default_rng(5)
-        importance = rng.dirichlet(np.ones(12))
-        for axis, key_fn in (
-                ("resolution", lambda lab: lab.split("_")[1]),
-                ("graph", lambda lab: lab.split("_")[0])):
-            out = decouple(importance, LABELS12, axis)
-            letters = {"resolution": {"hour": "h", "day": "d", "week": "w"},
-                       "graph": {"topological": "r", "weighted": "w",
-                                 "pattern": "p", "attribute": "s"}}[axis]
-            sums = {name: sum(v for lab, v in zip(LABELS12, importance)
-                              if key_fn(lab) == letter)
-                    for name, letter in letters.items()}
-            expected = np.exp(list(sums.values()))
-            expected /= expected.sum()
-            np.testing.assert_allclose(list(out.values()), expected,
-                                       atol=1e-12)
+        for _ in range(50):
+            importance = rng.dirichlet(np.ones(12))
+            assert matches_oracle(importance, *decouple(importance))
 
     def test_simplex_property(self):
         rng = np.random.default_rng(6)
         importance = rng.dirichlet(np.ones(12))
-        for axis in ("resolution", "graph"):
-            values = np.array(list(decouple(importance, LABELS12,
-                                            axis).values()))
+        for view in decouple(importance):
+            values = np.array(list(view.values()))
             assert np.all(values >= 0)
             assert values.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            decouple(np.full(12, 1 / 12), LABELS12, "channel")
 
 
 class TestReports:
     def test_report_from_live_forward(self, toy):
         _, attention = forward(toy.state, toy.samples(), toy.graphs)
-        record = AttentionRecord(attention[0],
-                                 tuple(toy.config.combination_labels()), 1)
-        report = build_report(record)
+        report = build_report(attention[0], 1)
         assert np.sum(report["heatmap"]) == pytest.approx(1.0, abs=1e-9)
         for view in ("combination", "resolution", "graph"):
             assert sum(report[f"{view}_importance"].values()) == \
                 pytest.approx(1.0, abs=1e-9)
         assert list(report["resolution_importance"]) == ["hour", "day",
                                                          "week"]
+        importance = np.array(list(report["combination_importance"].values()))
+        assert matches_oracle(importance, report["resolution_importance"],
+                              report["graph_importance"])
 
-    def test_record_validation(self):
-        bad = np.full((1, 3, 3, 2), 0.2)  # rows do not sum to one
-        with pytest.raises(ValueError):
-            AttentionRecord(bad, ("a", "b", "c"), 1)
-        with pytest.raises(ValueError):
-            AttentionRecord(uniform_attention(tp=3), ("a", "b"), 1)
+    def test_record_validation(self, tmp_path):
+        path = tmp_path / "attention.json"
+        write_attention_record(path, np.full(SHAPE, 0.2), 1)  # rows sum to 2.4
+        with pytest.raises(DataError, match="not normalized"):
+            read_attention_record(path, 1, SHAPE)
+        write_attention_record(path, uniform_attention(), 1)
+        with pytest.raises(DataError, match="prediction_length"):
+            read_attention_record(path, 2, SHAPE)
+        with pytest.raises(DataError, match="shape"):
+            read_attention_record(path, 1, (1, 12, 12, 3))
 
     def test_record_file_round_trip(self, tmp_path):
-        record = AttentionRecord(uniform_attention(), LABELS12, 3)
+        attention = uniform_attention()
         path = tmp_path / "attention.json"
-        write_attention_record(path, record)
-        loaded = read_attention_record(path)
-        assert loaded.labels == record.labels
-        assert loaded.prediction_length == 3
-        np.testing.assert_array_equal(loaded.attention, record.attention)
+        write_attention_record(path, attention, 3)
+        assert json.loads(path.read_text())["labels"] == \
+            list(COMBINATION_LABELS)
+        loaded = read_attention_record(path, 3, SHAPE)
+        np.testing.assert_array_equal(loaded, attention)
 
     def test_corrupt_record_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"format\": \"something-else\"}")
         with pytest.raises(DataError):
-            read_attention_record(path)
+            read_attention_record(path, 1, SHAPE)
 
     def test_report_files_are_deterministic(self, tmp_path):
         rng = np.random.default_rng(7)
         attention = rng.dirichlet(np.ones(12), size=(2, 12, 3))
         attention = np.transpose(attention, (0, 1, 3, 2))
-        record = AttentionRecord(attention, LABELS12, 1)
-        report = build_report(record)
+        report = build_report(attention, 1)
         first_json = tmp_path / "a.json"
         second_json = tmp_path / "b.json"
         write_json(first_json, report)
-        write_json(second_json, build_report(record))
+        write_json(second_json, build_report(attention, 1))
         assert first_json.read_bytes() == second_json.read_bytes()
         first_csv = tmp_path / "a.csv"
         write_report_csv(first_csv, report)

@@ -133,10 +133,10 @@ class TestBuildCombinations:
         assert combos.shape == (1, 12, n, d)
 
     def test_labels_follow_canonical_order(self, toy):
-        assert toy.config.combination_labels() == [
+        assert model.COMBINATION_LABELS == (
             "r_h", "w_h", "p_h", "s_h",
             "r_d", "w_d", "p_d", "s_d",
-            "r_w", "w_w", "p_w", "s_w"]
+            "r_w", "w_w", "p_w", "s_w")
 
     def test_zeroing_pattern_graph_touches_only_pattern_combos(self, toy):
         sample = toy.samples()
@@ -146,7 +146,7 @@ class TestBuildCombinations:
                               pattern=np.zeros_like(toy.graphs.pattern),
                               attribute=toy.graphs.attribute)
         changed = build_combinations(sample, no_pattern, toy.state).data[0]
-        for idx, label in enumerate(toy.config.combination_labels()):
+        for idx, label in enumerate(model.COMBINATION_LABELS):
             same = np.array_equal(base[idx], changed[idx])
             assert same == (not label.startswith("p_"))
 
@@ -435,7 +435,7 @@ class TestAblationTopology:
         base = build_combinations(sample, toy.graphs, toy.state).data[0]
         masked = build_combinations(hourly_only, toy.graphs,
                                     toy.state).data[0]
-        for idx, label in enumerate(toy.config.combination_labels()):
+        for idx, label in enumerate(model.COMBINATION_LABELS):
             if label.endswith("_h"):
                 np.testing.assert_array_equal(masked[idx], base[idx])
             else:

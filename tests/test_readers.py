@@ -17,8 +17,7 @@ from roadgrade.data import (TrafficSeries, read_csv_rows, read_grades_csv,
                             read_measurements_csv, write_grades_csv,
                             write_measurements_csv)
 from roadgrade.errors import DataError
-from roadgrade.explain import (AttentionRecord, read_attention_record,
-                               write_attention_record)
+from roadgrade.explain import read_attention_record, write_attention_record
 from roadgrade.graphs import (RoadNetwork, read_adjacency_csv,
                               read_network_csv, write_adjacency_csv,
                               write_network_csv)
@@ -45,10 +44,11 @@ def _adjacency(path):
     write_adjacency_csv(path, np.array([[0.0, 0.5], [0.5, 0.0]]), IDS)
 
 
+ATTENTION_SHAPE = (1, 12, 12, 1)
+
+
 def _attention(path):
-    attention = np.full((1, 2, 2, 1), 0.5)
-    write_attention_record(path, AttentionRecord(attention, ("r_h", "p_h"),
-                                                 1))
+    write_attention_record(path, np.full(ATTENTION_SHAPE, 1 / 12), 1)
 
 
 # name -> (writer of a valid file, reader)
@@ -58,7 +58,8 @@ READERS = {
     "grades": (_grades, lambda path: read_grades_csv(path, IDS)),
     "network": (_network, read_network_csv),
     "adjacency": (_adjacency, read_adjacency_csv),
-    "attention-record": (_attention, read_attention_record),
+    "attention-record": (_attention, lambda path: read_attention_record(
+        path, 1, ATTENTION_SHAPE)),
 }
 
 

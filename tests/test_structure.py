@@ -1,5 +1,6 @@
-"""The package's shape: every definition in it is used by it, and one module,
-through one reader and one writer, holds the CSV format."""
+"""The package's shape: every definition in it is used by it, one module,
+through one reader and one writer, holds the CSV format, and one module the
+combination labels."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,14 @@ def test_one_function_reads_and_one_writes_csv():
             callers.setdefault(func.attr, []).append((module, *around))
     assert callers == {"reader": [("data.py", "read_csv_rows")],
                        "writer": [("data.py", "write_table")]}
+
+
+def test_only_model_names_the_combination_letters():
+    letters = {"GRAPH_LETTERS", "RESOLUTION_LETTERS"}
+    namers = {module for module, node in _nodes(ast.Name)
+              if node.id in letters}
+    namers |= {module for module, node in _nodes(ast.Attribute)
+               if node.attr in letters}
+    namers |= {module for module, node in _nodes(ast.alias)
+               if node.name in letters}
+    assert namers == {"model.py"}
