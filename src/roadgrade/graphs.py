@@ -121,62 +121,46 @@ def build_weighted_topological(net: RoadNetwork) -> np.ndarray:
 # -- dynamic time warping ------------------------------------------------------
 
 
-def _dtw_workspace(length: int, rows: int) -> list[np.ndarray]:
-    """The working arrays of `_pairwise_dtw` for up to `rows` rows of
-    `length`: first, second, prev, cur, cost and best."""
-    return [np.empty((length + extra, rows)) for extra in (0, 0, 1, 1, 0, 0)]
+def _lag_table_dtw(first: np.ndarray, second: np.ndarray, length: int,
+                   lags: list[np.ndarray], dp: list[np.ndarray]) -> np.ndarray:
+    """DTW distance between first[s:s + length] and second[s:s + length],
+    (hours, P) each, for every anchor s: (anchors * P,), anchor-major.
 
-
-def _pairwise_dtw(seqs: np.ndarray, workspace: list[np.ndarray]) -> np.ndarray:
-    """DTW distance between every pair of rows of `seqs`: (..., N, L) to
-    (..., N, N), zero on the diagonal.
-
-    One dynamic program over all unordered pairs of every leading index at
-    once.  It is laid out (L + 1, rows), so each step works on contiguous
-    rows, and uses only abs, min and +, so it agrees exactly with the
-    pair-by-pair `dtw_distance` of tests/oracles.py.  The `workspace` lets
-    repeated calls reuse their working memory; the result does not depend
-    on it.
+    Cell (r, c) of anchor s costs |first[s + r] - second[s + c]|, which
+    depends only on the hour s + r and the lag k = c - r.  So each cost is
+    read from a lag table, lag[k][u] = |first[u] - second[u + k]| (a negative
+    k counts from the end of `lags`): cell (r, c) of all anchors is the block
+    lag[c - r][r:r + anchors].  The DP runs row by row, with only abs, min
+    and +, so it agrees exactly with `dtw_distance` of tests/oracles.py.
+    `lags` and `dp` are flat working arrays; a call uses their front.
     """
-    *batch, n, length = seqs.shape
-    out = np.zeros((*batch, n, n))
-    if n < 2:
-        return out
-    ii, jj = np.triu_indices(n, k=1)
-    rows = ii.size * int(np.prod(batch))
-    # (L, rows): step r of the first sequence and every step of the second;
-    # (L + 1, rows): the previous and the current row of the DP table.
-    # Fewer rows than the workspace holds use the front of each array.
-    first, second, prev, cur, cost, best = (
-        array.ravel()[:array.shape[0] * rows].reshape(-1, rows)
-        for array in workspace)
-    steps = np.moveaxis(seqs, -1, 0)                # (L, ..., N)
-    for target, index in ((first, ii), (second, jj)):
-        # mode "clip" fills `out` directly; "raise" fills a copy of it
-        np.take(steps, index, axis=-1, mode="clip",
-                out=target.reshape(length, *batch, ii.size))
+    hours, width = first.shape
+    rows = (hours - length + 1) * width
+    for k in range(1 - length, length):
+        lo, hi = max(0, -k), hours - max(0, k)
+        out = lags[k][:hours * width].reshape(hours, width)[lo:hi]
+        np.abs(np.subtract(first[lo:hi], second[lo + k:hi + k], out=out),
+               out=out)
+    prev, cur, best = (array[:(length + extra) * rows].reshape(-1, rows)
+                       for array, extra in zip(dp, (1, 1, 0)))
     prev[0] = 0.0
     prev[1:] = np.inf
     for r in range(length):
-        np.abs(np.subtract(first[r], second, out=cost), out=cost)
         # the moves from the previous row need no loop, only the one along
         # the current row does
         np.minimum(prev[1:], prev[:-1], out=best)
         cur[0] = np.inf
+        skip = r * width
         for c in range(length):
             np.minimum(best[c], cur[c], out=best[c])
-            np.add(cost[c], best[c], out=cur[c + 1])
+            np.add(lags[c - r][skip:skip + rows], best[c], out=cur[c + 1])
         prev, cur = cur, prev
-    dist = prev[length].reshape(*batch, ii.size)
-    out[..., ii, jj] = dist
-    out[..., jj, ii] = dist
-    return out
+    return prev[length]
 
 
-# Rows, one per (road pair, anchor, channel), of one _pairwise_dtw call in
-# build_pattern_graph (but at least one anchor's rows): a few MB of working
-# set.  Fewer rows pay more numpy call overhead per cell; far more run slower
-# and cost memory.
+# Rows, one per (anchor, channel, road pair), of one DP in
+# build_pattern_graph: a few MB of working set.  Fewer rows pay more numpy
+# call overhead per cell; far more run slower and cost memory.
 DTW_CHUNK_ROWS = 8192
 
 
@@ -188,7 +172,8 @@ def build_pattern_graph(history: TrafficSeries, alpha_speed: float,
     For every hourly anchor in `window` whose trailing `pattern_hours` history
     fits inside the window, the speed and flow histories of each road pair are
     compared with DTW; exp(-alpha_c * dist) is averaged over the two channels
-    and then over anchors.  Diagonal forced to zero.
+    and then over anchors.  Diagonal forced to zero.  A distance that
+    overflows to +inf gives kernel 0, its limit.
     """
     if alpha_speed <= 0 or alpha_flow <= 0:
         raise ValueError("attenuation rates must be positive")
@@ -199,25 +184,39 @@ def build_pattern_graph(history: TrafficSeries, alpha_speed: float,
             f"window of {stop - start} h is shorter than the "
             f"{pattern_hours} h pattern length")
     n = history.n
-    # (anchors, channels, roads, pattern_hours): the trailing history of
-    # every anchor, a view on the series
-    histories = np.lib.stride_tricks.sliding_window_view(
-        history.values[:, start:stop, :], pattern_hours, axis=1
-    ).transpose(1, 2, 0, 3)
-    neg_alphas = -np.array([alpha_speed, alpha_flow])[:, None, None]
-    rows_per_anchor = max(1, len(neg_alphas) * n * (n - 1) // 2)
-    step = max(1, DTW_CHUNK_ROWS // rows_per_anchor)
-    workspace = _dtw_workspace(pattern_hours,
-                               min(step, n_anchors) * rows_per_anchor)
-    total = np.zeros((n, n))
+    if n < 2:  # no pair to compare
+        return np.zeros((n, n))
+    ii, jj = np.triu_indices(n, k=1)
+    neg_alphas = -np.array([alpha_speed, alpha_flow])[:, None]
+    channels = len(neg_alphas)
+    # (hours, channels, roads): the window hour by hour, a view on the series
+    steps = history.values[:, start:stop, :].transpose(1, 2, 0)
+    # a DP takes at least as many anchors as a pattern has hours, so that a
+    # lag row serves many anchors, and then as many road pairs as fit
+    step = min(n_anchors, max(pattern_hours,
+                              DTW_CHUNK_ROWS // (channels * ii.size)))
+    block = min(ii.size, max(1, DTW_CHUNK_ROWS // (step * channels)))
+    hours, width = step + pattern_hours - 1, channels * block
+    # flat working arrays, allocated once: the lag table and the DP rows
+    lags = [np.empty(hours * width) for _ in range(2 * pattern_hours - 1)]
+    dp = [np.empty((pattern_hours + 1) * step * width) for _ in range(3)]
+    total = np.zeros(ii.size)
     for lo in range(0, n_anchors, step):
-        kernels = np.exp(neg_alphas * _pairwise_dtw(histories[lo:lo + step],
-                                                    workspace))
-        # anchor by anchor, speed + flow, as a per-anchor loop would add
-        for speed, flow in kernels:
-            total += (speed + flow) / len(neg_alphas)
-    w = total / n_anchors
-    np.fill_diagonal(w, 0.0)
+        chunk = steps[lo:lo + step + pattern_hours - 1]
+        for p in range(0, ii.size, block):
+            pairs = slice(p, p + block)
+            # (hours, channels x pairs): each pair's first and second road
+            seqs = [chunk[..., index[pairs]].reshape(len(chunk), -1)
+                    for index in (ii, jj)]
+            with np.errstate(over="ignore"):  # infinite distance: kernel 0
+                dist = _lag_table_dtw(*seqs, pattern_hours, lags, dp)
+                kernels = np.exp(neg_alphas * dist.reshape(
+                    -1, channels, ii[pairs].size))
+            # anchor by anchor, speed + flow, as a per-anchor loop would add
+            for speed, flow in kernels:
+                total[pairs] += (speed + flow) / channels
+    w = np.zeros((n, n))
+    w[ii, jj] = w[jj, ii] = total / n_anchors
     return w
 
 
@@ -369,10 +368,9 @@ def write_network_csv(path, net: RoadNetwork, road_ids: list[str]) -> None:
 
 
 def read_network_csv(path) -> tuple[RoadNetwork, list[str]]:
-    road_ids: list[str] = []
-    lengths: list[float] = []
-    edges: list[tuple[int, int]] = []
-    index: dict[str, int] = {}
+    """The network and its road ids, sorted by id, whatever the row order."""
+    lengths: dict[str, float] = {}
+    edges: list[tuple[str, str]] = []
     section = "roads"
     rows = list(read_csv_rows(path))
     if not rows or rows[0] != _ROAD_HEADER:
@@ -387,29 +385,28 @@ def read_network_csv(path) -> tuple[RoadNetwork, list[str]]:
             if len(row) != 2:
                 raise DataError(f"{path}:{lineno}: expected road_id,length")
             rid, raw_len = row
-            if rid in index:
+            if rid in lengths:
                 raise DataError(f"{path}:{lineno}: duplicate road id {rid!r}")
             try:
-                length = float(raw_len)
+                lengths[rid] = float(raw_len)
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: bad length {raw_len!r}") from None
-            index[rid] = len(road_ids)
-            road_ids.append(rid)
-            lengths.append(length)
         else:
             if len(row) != 2:
                 raise DataError(f"{path}:{lineno}: expected road_a,road_b")
-            try:
-                edges.append((index[row[0]], index[row[1]]))
-            except KeyError as exc:
+            unknown = [rid for rid in row if rid not in lengths]
+            if unknown:
                 raise DataError(
-                    f"{path}:{lineno}: unknown road id {exc.args[0]!r}"
-                ) from None
-    if not road_ids:
+                    f"{path}:{lineno}: unknown road id {unknown[0]!r}")
+            edges.append((row[0], row[1]))
+    if not lengths:
         raise DataError(f"{path}: no roads defined")
+    road_ids = sorted(lengths)
+    index = {rid: i for i, rid in enumerate(road_ids)}
     try:
-        net = RoadNetwork(np.array(lengths), tuple(edges))
+        net = RoadNetwork(np.array([lengths[rid] for rid in road_ids]),
+                          tuple((index[a], index[b]) for a, b in edges))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
     return net, road_ids

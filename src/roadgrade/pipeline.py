@@ -10,10 +10,12 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import data, explain, graphs, grading, metrics, model, synth
-from .errors import ConfigError, DataError, DegenerateVarianceError
+from .errors import (ConfigError, DataError, DegenerateVarianceError,
+                     NumericError)
 
 VARIANT_NAMES = {
     "full": model.RESOLUTION_KEYS,
@@ -264,6 +266,30 @@ def run_synth(cfg: RunConfig) -> list[Path]:
 def run_graphs(cfg: RunConfig, horizon: int, inputs=None) -> list[Path]:
     net, series, road_ids = inputs or load_inputs(cfg)
     _, window = split_hours(cfg, series.t, horizon)
+    # the Moran report first, so that a numeric failure writes no artifact
+    conn = net.connectivity()
+    report = {**_graph_inputs(cfg, window), "channels": {}}
+    for channel, name in enumerate(data.CHANNEL_NAMES):
+        try:
+            # an overflow raises in numpy and in a Python float power, while
+            # a Python float product or quotient gives inf: both exit 3
+            with np.errstate(over="raise"):
+                field_values = series.values[:, window[0]:window[1],
+                                             channel].mean(axis=1)
+                stats = (graphs.global_morans_i(field_values, conn),
+                         graphs.local_morans_i(field_values, conn))
+            if not np.isfinite(np.hstack(stats)).all():
+                raise OverflowError
+            entry = {"degenerate": False, "global": stats[0],
+                     "local": stats[1].tolist()}
+        except DegenerateVarianceError as exc:
+            entry = {"degenerate": True, "reason": str(exc),
+                     "global": None, "local": None}
+        except (FloatingPointError, OverflowError):
+            raise NumericError(f"{cfg.measurements}: Moran's I of the {name} "
+                               "channel overflows; its values are too large"
+                               ) from None
+        report["channels"][name] = entry
     graph_set = graphs.GraphSet.build(
         net, series, window, alpha_speed=cfg.alpha_speed,
         alpha_flow=cfg.alpha_flow, pattern_hours=cfg.pattern_hours)
@@ -272,21 +298,6 @@ def run_graphs(cfg: RunConfig, horizon: int, inputs=None) -> list[Path]:
         path = cfg.out_path(f"adjacency_{key}.csv")
         graphs.write_adjacency_csv(path, graph_set.raw(key), road_ids)
         written.append(path)
-    conn = net.connectivity()
-    report = {**_graph_inputs(cfg, window), "channels": {}}
-    for channel, name in enumerate(data.CHANNEL_NAMES):
-        field_values = series.values[:, window[0]:window[1], channel].mean(
-            axis=1)
-        try:
-            entry = {
-                "degenerate": False,
-                "global": graphs.global_morans_i(field_values, conn),
-                "local": graphs.local_morans_i(field_values, conn).tolist(),
-            }
-        except DegenerateVarianceError as exc:
-            entry = {"degenerate": True, "reason": str(exc),
-                     "global": None, "local": None}
-        report["channels"][name] = entry
     report_path = cfg.out_path("moran_report.json")
     data.write_json(report_path, report)
     written.append(report_path)

@@ -187,6 +187,34 @@ def test_rerun_is_byte_identical(tmp_path):
         assert artifacts[first_out][name] == artifacts[second_out][name], name
 
 
+def test_network_row_order_changes_no_artifact(tmp_path):
+    # metamorphic: the road rows and the edge rows of the network shuffled,
+    # every artifact from graphs to ablate is byte-identical
+    config, out = write_config(tmp_path)
+    assert main(["synth", "--config", str(config)]) == 0
+    with open(tmp_path / "network.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    split = rows.index(["road_a", "road_b"])
+    roads, edges = rows[:split], rows[split + 1:]
+    rng = np.random.default_rng(0)
+    shuffled = [roads[i] for i in rng.permutation(len(roads))]
+    assert shuffled != roads
+    data.write_table(tmp_path / "shuffled.csv", header,
+                     [*shuffled, rows[split],
+                      *(edges[i] for i in rng.permutation(len(edges)))])
+    shuffled_config, shuffled_out = write_config(
+        tmp_path, "shuffled", network=str(tmp_path / "shuffled.csv"))
+    for path in (config, shuffled_config):
+        for command in ("graphs", "label", "train", "predict", "evaluate",
+                        "explain", "ablate"):
+            assert main([command, "--config", str(path)]) == 0, command
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in shuffled_out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == \
+            (shuffled_out / name).read_bytes(), name
+
+
 def test_ablate_emits_comparison_table(tmp_path):
     config, out = write_config(tmp_path, train_size=60, val_size=10,
                                test_size=10)
@@ -586,6 +614,26 @@ def test_diverging_training_exits_3(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["1e100", "1e200", "1.5e308"])
+def test_huge_finite_measurement_exits_3_writing_nothing(tmp_path, capsys,
+                                                         value):
+    # one speed replaced: a Moran statistic overflows (at 1e100 in a Python
+    # float power) before any graph is built; any numpy warning would fail
+    # the test
+    config, out = write_config(tmp_path)
+    assert main(["synth", "--config", str(config)]) == 0
+    path = tmp_path / "measurements.csv"
+    lines = path.read_text().split("\n")
+    road, stamp, _, flow = lines[4].split(",")
+    lines[4] = ",".join([road, stamp, value, flow])
+    path.write_text("\n".join(lines))
+    assert main(["graphs", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "measurements.csv" in err and "speed" in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, value", [

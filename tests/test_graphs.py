@@ -13,7 +13,7 @@ from roadgrade import graphs
 from roadgrade.data import TrafficSeries
 from roadgrade.errors import DataError, DegenerateVarianceError
 from roadgrade.graphs import (GRAPH_KEYS, GraphSet, RoadNetwork,
-                              _pairwise_dtw, build_attribute_graph,
+                              _lag_table_dtw, build_attribute_graph,
                               build_pattern_graph, build_topological,
                               build_weighted_topological,
                               global_morans_i, local_morans_i,
@@ -139,10 +139,31 @@ def constant_series(values):
 
 
 def pairwise_dtw(seqs):
-    """_pairwise_dtw with a fresh workspace sized for `seqs`."""
-    *batch, n, length = seqs.shape
-    rows = n * (n - 1) // 2 * int(np.prod(batch))
-    return _pairwise_dtw(seqs, graphs._dtw_workspace(length, rows))
+    """`dtw_distance` between every pair of rows of `seqs`: (n, L) to
+    (n, n), zero on the diagonal."""
+    n = len(seqs)
+    out = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        out[i, j] = out[j, i] = dtw_distance(seqs[i], seqs[j])
+    return out
+
+
+def lag_table_dtw(first, second, length):
+    """_lag_table_dtw with fresh working arrays sized for the call."""
+    hours, width = first.shape
+    lags = [np.empty(hours * width) for _ in range(2 * length - 1)]
+    rows = (hours - length + 1) * width
+    dp = [np.empty((length + 1) * rows) for _ in range(3)]
+    return _lag_table_dtw(first, second, length, lags, dp)
+
+
+def dtw_per_anchor(first, second, length):
+    """What _lag_table_dtw returns, one `dtw_distance` at a time."""
+    anchors = len(first) - length + 1
+    return np.array([dtw_distance(first[s:s + length, p],
+                                  second[s:s + length, p])
+                     for s in range(anchors)
+                     for p in range(first.shape[1])])
 
 
 def pattern_graph_per_anchor(history, alpha_speed, alpha_flow, window,
@@ -319,40 +340,48 @@ class TestDtw:
 
     def test_pairwise_matches_scalar(self):
         rng = np.random.default_rng(1)
-        seqs = rng.normal(size=(6, 9))
-        batch = pairwise_dtw(seqs)
-        for i in range(6):
-            for j in range(6):
-                expected = 0.0 if i == j else dtw_distance(seqs[i], seqs[j])
-                assert batch[i, j] == pytest.approx(expected, abs=1e-12)
+        first, second = rng.normal(size=(2, 9, 4))
+        for length in (1, 2, 5, 9):
+            assert np.array_equal(lag_table_dtw(first, second, length),
+                                  dtw_per_anchor(first, second, length))
 
     def test_pairwise_batched_equals_per_slice_and_scalar(self):
+        # many columns (road pair, channel) at once equal each column
+        # alone, and the oracle
         rng = np.random.default_rng(3)
-        seqs = rng.normal(size=(2, 3, 5, 7))
-        batch = pairwise_dtw(seqs)
-        assert batch.shape == (2, 3, 5, 5)
-        for idx in np.ndindex(2, 3):
-            assert np.array_equal(batch[idx], pairwise_dtw(seqs[idx]))
-            for i, j in itertools.combinations(range(5), 2):
-                expected = dtw_distance(seqs[idx][i], seqs[idx][j])
-                assert batch[idx][i, j] == expected
-                assert batch[idx][j, i] == expected
+        first, second = rng.normal(size=(2, 11, 6))
+        batch = lag_table_dtw(first, second, 7).reshape(5, 6)
+        for p in range(6):
+            assert np.array_equal(
+                batch[:, p], lag_table_dtw(first[:, p:p + 1],
+                                           second[:, p:p + 1], 7))
+        assert np.array_equal(batch.ravel(),
+                              dtw_per_anchor(first, second, 7))
 
-    def test_pairwise_reused_workspace_is_bitwise_fresh(self):
-        # a workspace sized for the first call and full of NaN, then reused
-        # by a call with fewer rows, as by the last chunk of a pattern graph
+    def test_shorter_last_chunk_reads_only_lag_rows_it_wrote(self):
+        # working arrays sized for 10 anchors of 4 columns and full of NaN
+        # before every call: a call with fewer anchors or columns, as the
+        # last chunk or pair block of a pattern graph, gives NaN if it reads
+        # a lag or DP value it did not write
         rng = np.random.default_rng(4)
-        seqs = rng.normal(size=(3, 2, 5, 6))
-        workspace = graphs._dtw_workspace(6, 3 * 2 * 10)
-        for array in workspace:
-            array.fill(np.nan)
-        for chunk in (seqs, seqs[1:2], seqs[:, :, ::-1], seqs[:1, :1]):
-            assert np.array_equal(_pairwise_dtw(chunk, workspace),
-                                  pairwise_dtw(chunk))
+        length = 6
+        first, second = rng.normal(size=(2, 10 + length - 1, 4))
+        lags = [np.empty((10 + length - 1) * 4) for _ in range(2 * length - 1)]
+        dp = [np.empty((length + 1) * 10 * 4) for _ in range(3)]
+        for hours, width in ((10 + length - 1, 4), (length + 2, 4),
+                             (length, 4), (length + 9, 1), (length + 3, 3)):
+            for array in (*lags, *dp):
+                array.fill(np.nan)
+            chunk = first[:hours, :width], second[::-1][:hours, :width]
+            assert np.array_equal(
+                _lag_table_dtw(*chunk, length, lags, dp),
+                dtw_per_anchor(*chunk, length))
 
     def test_pairwise_single_sequence_is_zero(self):
-        assert np.array_equal(pairwise_dtw(np.ones((4, 1, 3))),
-                              np.zeros((4, 1, 1)))
+        series = constant_series(np.ones((1, 5, 2)))
+        assert np.array_equal(build_pattern_graph(series, 1e-2, 1e-4, (0, 5),
+                                                  pattern_hours=3),
+                              np.zeros((1, 1)))
 
 
 # -- pattern graph ------------------------------------------------------------------
@@ -364,14 +393,25 @@ class TestPatternGraph:
                              [(1, 3), (2, 4), (2, 1), (4, 5)])
     def test_bitwise_equal_to_per_anchor_loop(self, monkeypatch, chunk_rows,
                                               n, pattern_hours):
-        # DP calls of one anchor (1 and 3 rows), of several anchors with a
-        # shorter last call (40 rows: 20 anchors of 2 roads, 3 of 4 roads),
-        # and of the default size
+        # DPs of pattern_hours anchors and one road pair (1 and 3 rows), of
+        # more anchors with a shorter last chunk (40 rows: 20 anchors of 2
+        # roads), of 5 anchors with a shorter last pair block (40 rows: 4
+        # of the 6 pairs of 4 roads), and of the default size
         if chunk_rows is not None:
             monkeypatch.setattr(graphs, "DTW_CHUNK_ROWS", chunk_rows)
         rng = np.random.default_rng(n + 10 * pattern_hours)
         series = constant_series(rng.uniform(1, 300, size=(n, 60, 2)))
         args = (series, 1e-2, 1e-4, (2, 59), pattern_hours)
+        assert np.array_equal(build_pattern_graph(*args),
+                              pattern_graph_per_anchor(*args))
+
+    @pytest.mark.parametrize("chunk_rows", [1, None])
+    def test_window_of_exactly_one_anchor(self, monkeypatch, chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(graphs, "DTW_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(6)
+        series = constant_series(rng.uniform(1, 300, size=(5, 20, 2)))
+        args = (series, 1e-2, 1e-4, (7, 13), 6)
         assert np.array_equal(build_pattern_graph(*args),
                               pattern_graph_per_anchor(*args))
 
@@ -405,6 +445,15 @@ class TestPatternGraph:
         w = build_pattern_graph(series, 1e-2, 1e-4, (0, hours.size),
                                 pattern_hours=24)
         assert w[0, 1] > w[0, 2]
+
+    def test_overflowing_distance_gives_kernel_zero(self):
+        # the DTW sum of two roads 1.5e308 apart overflows to +inf, whose
+        # kernel is its limit 0; any numpy warning would fail the test
+        values = np.ones((3, 4, 2))
+        values[0] = 1.5e308
+        series = constant_series(values)
+        w = build_pattern_graph(series, 1e-2, 1e-4, (0, 4), pattern_hours=3)
+        assert w[0, 1] == w[0, 2] == 0.0 and w[1, 2] == 1.0
 
     def test_window_too_short(self):
         series = constant_series(np.ones((2, 10, 2)))
@@ -636,6 +685,15 @@ class TestGraphSetAndFiles:
         assert loaded_ids == ids
         np.testing.assert_array_equal(loaded.lengths, net.lengths)
         assert loaded.edges == net.edges
+
+    def test_network_csv_roads_sorted_by_id_edges_remapped(self, tmp_path):
+        path = tmp_path / "network.csv"
+        path.write_text("road_id,length\nb,2.0\nc,3.0\na,1.0\n"
+                        "road_a,road_b\nc,b\nb,a\n")
+        net, ids = read_network_csv(path)
+        assert ids == ["a", "b", "c"]
+        assert net.lengths.tolist() == [1.0, 2.0, 3.0]
+        assert net.edges == ((0, 1), (1, 2))
 
     def test_network_csv_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
