@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain, islice
@@ -203,6 +204,43 @@ def _stamp(hour: int) -> str:
 _BATCH_ROWS = 1024
 
 
+def _read_plain(path, header: list[str], index: dict[str, int], convert):
+    """The road, hour and values of each row of a road×hour table, and the
+    hour of each timestamp, through numpy's text reader.  None where numpy
+    might read otherwise than csv.reader, float() and int(): a quote, a NUL
+    (dropped at a field's end), a line long enough for a field they refuse
+    (131,072 characters, 4,300 digits), a field that fills its width (cut);
+    and a field that numpy, `index` or `_parse_hour` refuses, or a warning."""
+    try:
+        with open(path, "rb") as fh:
+            plain = not any(b'"' in block or b"\0" in block
+                            for block in iter(lambda: fh.read(1 << 16), b""))
+            fh.seek(0)
+            if not plain or max(map(len, fh)) > 4096:  # < 4,300 digits
+                return None
+        specs = (("road", max(map(len, index), default=0) + 1,
+                  index.__getitem__),
+                 ("stamp", 20, _parse_hour))  # isoformat() writes 19 bytes
+        with warnings.catch_warnings(action="error"):
+            table = np.loadtxt(
+                path, [(name, f"S{size}") for name, size, _ in specs]
+                + [(name, convert) for name in header[2:]], comments=None,
+                delimiter=",", skiprows=1, ndmin=1, encoding="utf-8")
+        columns = []
+        for name, size, parse in specs:
+            # return_index: a stable sort, twice as fast on road-by-road tables
+            distinct, _, where = np.unique(table[name], return_index=True,
+                                           return_inverse=True)
+            texts = [raw.decode("latin-1") for raw in distinct.tolist()]
+            if max(map(len, texts)) >= size:  # it may have been cut short
+                return None
+            parsed = dict(zip(texts, map(parse, texts)))
+            columns.append(np.array(list(parsed.values()))[where])
+    except Exception:  # any fault: the csv path reads the table and names it
+        return None
+    return *columns, [table[name] for name in header[2:]], parsed
+
+
 def _read_road_hours(path, header: list[str], road_ids: list[str],
                      convert) -> tuple[np.ndarray, datetime]:
     """A road×hour table: one `road_id,timestamp,<values>` row per cell.
@@ -211,9 +249,9 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     exactly once.  Returns the values (roads, hours, k) in `road_ids` order
     as `convert`'s numpy type, and the first hour.
 
-    Each batch of rows is converted a column at a time, through dicts for
-    the road ids and timestamps and `convert` for the values.  A batch that
-    fails is converted again a row at a time, to name the first bad row.
+    A plain table is read by numpy (`_read_plain`), any other in batches of
+    rows converted a column at a time; a batch that fails is converted again
+    a row at a time, to name the first bad row.
     """
     width, what = len(header), "/".join(header[2:])
     index = {rid: r for r, rid in enumerate(road_ids)}
@@ -245,8 +283,10 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     source = read_csv_rows(path)
     if next(source, None) != header:
         raise DataError(f"{path}:1: expected header {','.join(header)}")
+    if (plain := _read_plain(path, header, index, convert)) is not None:
+        roads, hours, cells, hour_of = plain
     record, error = 2, None
-    while error is None:
+    while plain is None and error is None:
         rows = []
         try:  # unlike list(), extend keeps the rows before an error
             rows.extend(islice(source, _BATCH_ROWS))
@@ -268,7 +308,7 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
         record += len(rows)
     if error is not None:
         raise error
-    if not roads:
+    if not len(roads):
         raise DataError(f"{path}: no rows")
     distinct = sorted(set(hour_of.values()))
     first, span = distinct[0], distinct[-1] - distinct[0] + 1

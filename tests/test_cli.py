@@ -3,6 +3,7 @@
 import csv
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -343,15 +344,27 @@ class TestFailureModes:
         config, _ = write_config(tmp_path)
         assert main(["label", "--config", str(config), "--horizon", "0"]) == 1
 
-    def test_malformed_measurements_exit_2(self, tmp_path, capsys):
+    # header only and blank lines only: numpy's reader warns "input
+    # contained no data", which must not escape, whatever the warning filter
+    @pytest.mark.parametrize("rows, message", [
+        ("R000,2020-01-06T00:00:00,oops,1\n", "measurements.csv:2: bad"),
+        ("", "measurements.csv: no rows"),
+        ("\n\r\n\n", "measurements.csv: no rows"),
+    ], ids=["bad-value", "header-only", "blank-lines-only"])
+    def test_malformed_measurements_exit_2(self, tmp_path, capsys, rows,
+                                           message):
         config, _ = write_config(tmp_path)
         net = RoadNetwork(np.ones(4), ((0, 1), (1, 2), (2, 3)))
         write_network_csv(tmp_path / "network.csv", net,
                           [f"R{i:03d}" for i in range(4)])
-        (tmp_path / "measurements.csv").write_text(
-            "road_id,timestamp,speed,flow\nR000,2020-01-06T00:00:00,oops,1\n")
-        assert main(["graphs", "--config", str(config)]) == 2
-        assert ":2" in capsys.readouterr().err
+        (tmp_path / "measurements.csv").write_bytes(
+            b"road_id,timestamp,speed,flow\n" + rows.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["graphs", "--config", str(config)]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
 
     def test_undecodable_measurements_exit_2(self, tmp_path, capsys):
         config, _ = write_config(tmp_path)

@@ -266,7 +266,7 @@ def tables(draw, kind, quoting):
 
 
 def _read_both(scratch, content: bytes, kind, ids):
-    """The batched reader's and the reference's result or DataError
+    """The package reader's and the reference's result or DataError
     message, in that order."""
     header, convert, _ = KINDS[kind]
     scratch.write_bytes(content)
@@ -291,6 +291,62 @@ def test_valid_table_reads_as_the_reference_reads_it(scratch, kind, quoting,
     with mock.patch.object(data, "_BATCH_ROWS", batch_rows):
         batched, reference = _read_both(scratch, text.encode(), kind, ids)
     assert not isinstance(reference, str), reference
+    assert batched == reference
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_plain_table_is_read_without_the_batch_loop(valid_files, scratch,
+                                                    kind):
+    # only the batch loop calls islice; a numpy path that always handed a
+    # table over would pass every differential test and gain nothing
+    plain = valid_files[kind]
+    header, *rows = plain.splitlines(keepends=True)
+    quoted = header + b"".join(b'"' + row[:1] + b'"' + row[1:]
+                               for row in rows)
+    expected = _read_both(scratch, quoted, kind, IDS)
+    with mock.patch.object(data, "islice",
+                           side_effect=AssertionError("batch loop entered")):
+        assert _read_both(scratch, plain, kind, IDS) == expected
+        with pytest.raises(AssertionError, match="batch loop entered"):
+            _read_both(scratch, quoted, kind, IDS)
+
+
+# Tables on which numpy's text reader and csv.reader, or float() and int(),
+# part ways: (kind, road ids, rows after the header, refused by the reference)
+HAZARDS = {
+    "empty-and-nul-ids": ("measurements", ["", "\x00"],
+                          ",2020-01-06T00:00:00,1.0,2.0\n"
+                          "\x00,2020-01-06T00:00:00,3.0,4.0\n", False),
+    "id-longer-than-every-network-id": (
+        "measurements", ["R00000", "R00001"],
+        "R00000,2020-01-06T00:00:00,1.0,2.0\n"
+        "R0000000000001,2020-01-06T00:00:00,3.0,4.0\n", True),
+    "quoted-id-of-a-network-id-with-quotes": (
+        "measurements", ['"A"'], '"A",2020-01-06T00:00:00,1.0,2.0\n', True),
+    "space-and-microsecond-timestamps": (
+        "measurements", ["A"], "A,2020-01-06 00:00:00,1.0,2.0\n"
+        "A,2020-01-06T01:00:00.000000,3.0,4.0\n", False),
+    "timestamp-whose-first-20-bytes-are-a-whole-hour": (
+        "measurements", ["A"], "A,20200106T010000.00001,1.0,2.0\n", True),
+    "digit-group-underscore": ("measurements", ["A"],
+                               "A,2020-01-06T00:00:00,6_9.5,1.0\n", False),
+    "arabic-indic-digits": ("measurements", ["A"],
+                            "A,2020-01-06T00:00:00,٦٩.٥,1.0\n",
+                            False),
+    "grade-of-4301-digits": ("grades", ["A"], "A,2020-01-06T00:00:00,"
+                             + "0" * 4300 + "1\n", True),
+    "field-over-the-csv-limit": ("measurements", ["A"],
+                                 "A,2020-01-06T00:00:00,0." + "0" * 131072
+                                 + "1,1.0\n", True),
+}
+
+
+@pytest.mark.parametrize("name", list(HAZARDS))
+def test_hazard_reads_as_the_reference_reads_it(scratch, name):
+    kind, ids, rows, refused = HAZARDS[name]
+    text = ",".join(KINDS[kind][0]) + "\n" + rows
+    batched, reference = _read_both(scratch, text.encode(), kind, ids)
+    assert isinstance(reference, str) == refused, reference
     assert batched == reference
 
 

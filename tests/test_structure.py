@@ -1,6 +1,6 @@
 """The package's shape: every definition in it is used by it, one module,
-through one reader and one writer, holds the CSV format, and one module the
-combination labels."""
+through one reader and one writer, holds the CSV format, one function calls
+numpy's text reader, and one module holds the combination labels."""
 
 import ast
 from pathlib import Path
@@ -49,6 +49,16 @@ def test_one_function_reads_and_one_writes_csv():
             callers.setdefault(func.attr, []).append((module, *around))
     assert callers == {"reader": [("data.py", "read_csv_rows")],
                        "writer": [("data.py", "write_table")]}
+
+
+def test_one_function_calls_numpys_text_reader():
+    functions = _nodes((ast.FunctionDef, ast.AsyncFunctionDef))
+    callers = [(module, *(node.name for name, node in functions
+                          if name == module and call in ast.walk(node)))
+               for module, call in _nodes(ast.Call)
+               if getattr(call.func, "attr", getattr(call.func, "id", None))
+               == "loadtxt"]
+    assert callers == [("data.py", "_read_plain")]
 
 
 def test_only_model_names_the_combination_letters():
