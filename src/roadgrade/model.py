@@ -1,15 +1,18 @@
 """Traffic grade prediction network.
 
 Per (resolution, graph) combination a two-layer GCN with weights shared
-across the speed and flow channels feeds an elementwise channel fusion and a
-temporal self-attention pass, yielding one embedding per combination.  The
-stacked combinations go through a multi-head attention layer whose score
-tensor keeps a per-feature axis, then a fully connected head emits per-road
-grade logits trained with negative log likelihood.
+across the speed and flow channels feeds an elementwise channel fusion.  A
+temporal self-attention pass over each fused combination yields one
+embedding per combination.  The stacked combinations go through a
+multi-head attention layer whose score tensor keeps a per-feature axis, then
+a fully connected head emits per-road grade logits trained with negative log
+likelihood.
 
 One forward covers a mini-batch: every operator takes a leading batch axis,
 and the four graphs (in GRAPH_KEYS order) share one stacked axis.  Only the
-resolutions, whose window widths differ, are a loop.
+resolutions, whose window widths differ, are a loop, which ends at channel
+fusion; the temporal and the high-dimensional attention each run once per
+forward, over every combination.
 """
 
 from __future__ import annotations
@@ -168,8 +171,9 @@ def build_combinations(samples: Samples, graphs: GraphSet,
         z = Tensor(np.moveaxis(history, -1, 1)[:, :, None])   # (B, 2, 1, n, w)
         h1 = shared_gcn_layer(z, a_norm, params[f"gcn1/{res}"])
         h2 = shared_gcn_layer(h1, a_norm, params[f"gcn2/{res}"])
-        out.append(temporal_attention(channel_fuse(h2, params[f"fuse/{res}"])))
-    return concat(out, axis=1)
+        out.append(channel_fuse(h2, params[f"fuse/{res}"]))
+    # each softmax row lies within one combination: one pass for them all
+    return temporal_attention(concat(out, axis=1))
 
 
 def highdim_attention(x: Tensor, state: ModelState

@@ -254,7 +254,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     w = q.data @ k.data
     w *= scale
     _check_softmax_input(w)
-    w -= w.max(axis=-1, keepdims=True)
+    # a max is exact in any order, and a leading-axis reduce is vectorized
+    w -= np.moveaxis(w, -1, 0).copy().max(axis=0)[..., None]
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
 

@@ -7,8 +7,10 @@ import numpy as np
 
 from roadgrade.errors import NumericError
 from roadgrade.graphs import GRAPH_KEYS
-from roadgrade.model import GRAPH_LETTERS, RESOLUTION_KEYS, RESOLUTION_LETTERS
-from roadgrade.tensor import Tensor, softmax
+from roadgrade.model import (GRAPH_LETTERS, RESOLUTION_KEYS,
+                             RESOLUTION_LETTERS, channel_fuse,
+                             shared_gcn_layer, temporal_attention)
+from roadgrade.tensor import Tensor, concat, softmax
 
 _RESOLUTION_BY_LETTER = {letter: key
                          for key, letter in RESOLUTION_LETTERS.items()}
@@ -46,6 +48,20 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor,
         err = abs(analytic[idx] - numeric) / max(1.0, abs(analytic[idx]))
         worst = max(worst, err)
     return worst
+
+
+def per_resolution_combinations(samples, graphs, state) -> Tensor:
+    """`model.build_combinations` with one temporal attention pass per
+    resolution, whose outputs are then concatenated."""
+    a_norm = Tensor(graphs.normalized)
+    out = []
+    for res in state.config.resolutions:
+        z = Tensor(np.moveaxis(samples.history[res], -1, 1)[:, :, None])
+        h1 = shared_gcn_layer(z, a_norm, state.params[f"gcn1/{res}"])
+        h2 = shared_gcn_layer(h1, a_norm, state.params[f"gcn2/{res}"])
+        out.append(temporal_attention(
+            channel_fuse(h2, state.params[f"fuse/{res}"])))
+    return concat(out, axis=1)
 
 
 def dtw_distance(a, b) -> float:

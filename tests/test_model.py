@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import ToySetup, random_symmetric, toy_config
-from oracles import grad_check
+from oracles import grad_check, per_resolution_combinations
 from roadgrade import model
 from roadgrade.data import Samples
 from roadgrade.errors import DataError
@@ -155,6 +155,35 @@ class TestBuildCombinations:
         first = build_combinations(sample, toy.graphs, toy.state)
         second = build_combinations(sample, toy.graphs, toy.state)
         assert np.array_equal(first.data, second.data)
+
+
+class TestOneTemporalAttentionPass:
+    """One temporal attention pass over every combination is bitwise the
+    per-resolution passes, forward and backward."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"n": 12, "hidden": 8, "heads": 4, "windows": (12, 7, 4)},
+        {"resolutions": ("hour",)}], ids=["full", "wider", "hourly"])
+    def test_matches_per_resolution_passes(self, kwargs, monkeypatch):
+        setup = ToySetup(seed=5, **kwargs)
+        batch = setup.samples(4)
+        params = setup.state.params
+
+        def run():
+            params.zero_grad()
+            logits, attn = forward(setup.state, batch, setup.graphs)
+            nll_loss(logits, batch.target).backward()
+            return logits.data, attn, params.gradients()
+
+        logits, attn, grads = run()
+        monkeypatch.setattr(model, "build_combinations",
+                            per_resolution_combinations)
+        ref_logits, ref_attn, ref_grads = run()
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(attn, ref_attn)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 class TestHighdimAttention:

@@ -1,5 +1,6 @@
 """Every file reader either parses its input or raises DataError."""
 
+import contextlib
 import csv
 import io
 import re
@@ -231,23 +232,26 @@ KINDS = {
 
 # Road ids that csv.writer leaves unquoted, some with a NUL, which csv.reader
 # reads as any other character, or with what `str.splitlines` but not
-# csv.reader takes for a line break; and ids with what makes csv.writer
-# quote them.
+# csv.reader takes for a line break; ids with what makes csv.writer quote
+# them; and unquoted ids with neither, which numpy's text reader takes.
 PLAIN_ID = st.text("AB1_- é'\x00\x0b\x85\u2028", max_size=3)
 ANY_ID = st.text('AB1,"\r\n é', max_size=4)
+NUMPY_ID = st.text("AB1_- é'", max_size=3)
 
-
-QUOTING = {"minimal": csv.QUOTE_MINIMAL, "all": csv.QUOTE_ALL}
+# flavour -> (road ids, quoting)
+FLAVOURS = {"minimal": (PLAIN_ID, csv.QUOTE_MINIMAL),
+            "all": (ANY_ID, csv.QUOTE_ALL),
+            "numpy": (NUMPY_ID, csv.QUOTE_MINIMAL)}
 
 
 @st.composite
-def tables(draw, kind, quoting):
-    """A valid road×hour table as text: plain road ids and minimal quoting,
-    or any ids with every field quoted; rows shuffled, blank lines between
-    them, one line end throughout."""
+def tables(draw, kind, flavour):
+    """A valid road×hour table as text: road ids and quoting as the
+    flavour says; rows shuffled, blank lines between them, one line end
+    throughout."""
     header, _, cell = KINDS[kind]
-    ids = draw(st.lists(PLAIN_ID if quoting == "minimal" else ANY_ID,
-                        min_size=1, max_size=3, unique=True))
+    road_id, quoting = FLAVOURS[flavour]
+    ids = draw(st.lists(road_id, min_size=1, max_size=3, unique=True))
     hours = draw(st.integers(1, 4))
     start = datetime(2020, 1, 6) + draw(st.integers(-30, 30)) * _HOUR
     rows = [[rid, (start + h * _HOUR).isoformat(), *map(repr, draw(cell))]
@@ -257,8 +261,7 @@ def tables(draw, kind, quoting):
     lines = []
     for row in [header, *rows]:
         out = io.StringIO()
-        csv.writer(out, lineterminator=ending,
-                   quoting=QUOTING[quoting]).writerow(row)
+        csv.writer(out, lineterminator=ending, quoting=quoting).writerow(row)
         lines.append(out.getvalue())
         if draw(st.booleans()):
             lines.append(ending)
@@ -281,14 +284,19 @@ def _read_both(scratch, content: bytes, kind, ids):
     return outcomes
 
 
-@pytest.mark.parametrize("quoting", list(QUOTING))
+@pytest.mark.parametrize("flavour", list(FLAVOURS))
 @pytest.mark.parametrize("kind", list(KINDS))
 @settings(max_examples=80, deadline=None)
 @given(data_=st.data(), batch_rows=st.integers(1, 5))
-def test_valid_table_reads_as_the_reference_reads_it(scratch, kind, quoting,
+def test_valid_table_reads_as_the_reference_reads_it(scratch, kind, flavour,
                                                      data_, batch_rows):
-    text, ids = data_.draw(tables(kind, quoting))
-    with mock.patch.object(data, "_BATCH_ROWS", batch_rows):
+    text, ids = data_.draw(tables(kind, flavour))
+    # a numpy-flavoured table must not reach the batch loop, which alone
+    # calls islice
+    no_batches = mock.patch.object(
+        data, "islice", side_effect=AssertionError("batch loop entered"))
+    with mock.patch.object(data, "_BATCH_ROWS", batch_rows), \
+            no_batches if flavour == "numpy" else contextlib.nullcontext():
         batched, reference = _read_both(scratch, text.encode(), kind, ids)
     assert not isinstance(reference, str), reference
     assert batched == reference
@@ -356,15 +364,15 @@ JUNK = st.one_of(st.text(',"\r\n\x00 AB1.:-Te\x85', max_size=6),
                  st.binary(max_size=4))
 
 
-@pytest.mark.parametrize("quoting", list(QUOTING))
+@pytest.mark.parametrize("flavour", list(FLAVOURS))
 @pytest.mark.parametrize("kind", list(KINDS))
 @settings(max_examples=120, deadline=None)
 @given(data_=st.data(), batch_rows=st.integers(1, 5),
        where=st.floats(0, 1), cut=st.integers(0, 8), junk=JUNK)
-def test_mangled_table_fails_as_the_reference_fails(scratch, kind, quoting,
+def test_mangled_table_fails_as_the_reference_fails(scratch, kind, flavour,
                                                     data_, batch_rows,
                                                     where, cut, junk):
-    text, ids = data_.draw(tables(kind, quoting))
+    text, ids = data_.draw(tables(kind, flavour))
     valid = text.encode()
     at = int(where * len(valid))
     if isinstance(junk, str):

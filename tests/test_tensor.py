@@ -312,6 +312,19 @@ class TestAttention:
         assert np.array_equal(tq.grad, dscores @ np.swapaxes(k, -1, -2))
         assert np.array_equal(tk.grad, np.swapaxes(q, -1, -2) @ dscores)
 
+    @pytest.mark.parametrize("length", [1, 2, 12, 32])
+    def test_weights_equal_softmax_bitwise(self, length):
+        # scores @ identity is exact, so the weights are softmax(scores)
+        rng = np.random.default_rng(29 + length)
+        scores = rng.standard_normal((2, 3, 5, length)) * 10
+        scores[0, 0] = 1.5                           # rows of equal values
+        # tied maxima, side by side and spread over the row
+        scores[0, 1, :, :2] = scores[0, 1].max(axis=-1, keepdims=True)
+        scores[1, 2, :, ::3] = scores[1, 2].max(axis=-1, keepdims=True)
+        _, weights = attention(Tensor(scores), Tensor(np.eye(length)),
+                               Tensor(np.ones((length, 1))), 1.0)
+        assert np.array_equal(weights, softmax(scores, axis=-1))
+
     def test_frozen_parameters_record_no_tape(self):
         rng = np.random.default_rng(28)
         params = ParamSet({name: Tensor(rng.standard_normal((3, 3)),
