@@ -12,7 +12,9 @@ One forward covers a mini-batch: every operator takes a leading batch axis,
 and the four graphs (in GRAPH_KEYS order) share one stacked axis.  Only the
 resolutions, whose window widths differ, are a loop, which ends at channel
 fusion; the temporal and the high-dimensional attention each run once per
-forward, over every combination.
+forward, over every combination.  Each GCN layer, channel fusion and
+attention block is one autodiff node, bitwise its chain of elementary
+nodes, so a batch records 51 tape nodes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .data import Samples, read_versioned, write_json
 from .errors import DataError, NumericError
 from .graphs import GraphSet, GRAPH_KEYS
 from .optim import ParamSet, adam_step
-from .tensor import Tensor, attention, concat, glorot_uniform
+from .tensor import (Tensor, _accumulate, _unbroadcast, attention, concat,
+                     glorot_uniform)
 
 RESOLUTION_KEYS = ("hour", "day", "week")
 RESOLUTION_LETTERS = {"hour": "h", "day": "d", "week": "w"}
@@ -122,17 +125,32 @@ def init_state(config: ModelConfig, seed: int) -> ModelState:
 
 
 def shared_gcn_layer(z: Tensor, a_norm: Tensor, w: Tensor) -> Tensor:
-    """One graph convolution per graph, one kernel for both channels.
+    """One graph convolution per graph, one kernel for both channels:
+    relu(a_norm @ z @ w) as one node, bitwise the chain of three.
 
     `z` is (batch, channels, graphs or 1, roads, f), `a_norm` the stacked
-    (graphs, roads, roads) adjacencies and `w` the (graphs, f, h) kernels;
-    the result is (batch, channels, graphs, roads, h).
+    (graphs, roads, roads) adjacencies, a constant, and `w` the (graphs, f,
+    h) kernels; the result is (batch, channels, graphs, roads, h).
     """
-    return (a_norm @ z @ w).relu()
+    az = a_norm.data @ z.data
+    pre = az @ w.data
+    mask = pre > 0  # gradient at exactly 0 is defined as 0
+
+    def backward(grads, g):
+        g = g * mask
+        gw = np.swapaxes(az, -1, -2) @ g
+        _accumulate(grads, w, _unbroadcast(gw, w.shape))
+        if z.requires_grad:
+            gz = np.swapaxes(a_norm.data, -1, -2) @ (
+                g @ np.swapaxes(w.data, -1, -2))
+            _accumulate(grads, z, _unbroadcast(gz, z.shape))
+
+    return Tensor._node(np.where(mask, pre, 0.0), (z, w), backward)
 
 
 def channel_fuse(z: Tensor, w: Tensor) -> Tensor:
-    """Elementwise-weighted sum over the channel axis.
+    """Elementwise-weighted sum over the channel axis, as one node that is
+    bitwise a mul, sum chain.
 
     `z` is (batch, channels, graphs, roads, d) and `w` the matching
     (channels, graphs, roads, d) weights.
@@ -140,7 +158,14 @@ def channel_fuse(z: Tensor, w: Tensor) -> Tensor:
     if z.shape[1:] != w.shape:
         raise ValueError(f"fusion weights {w.shape} do not match the "
                          f"embeddings {z.shape}")
-    return (w * z).sum(axis=1)
+
+    def backward(grads, g):
+        g = np.expand_dims(g, 1)
+        _accumulate(grads, w, _unbroadcast(g * z.data, w.shape))
+        if z.requires_grad:
+            _accumulate(grads, z, g * w.data)
+
+    return Tensor._node((w.data * z.data).sum(axis=1), (z, w), backward)
 
 
 def temporal_attention(x: Tensor) -> Tensor:
@@ -265,6 +290,23 @@ def predict_many(state: ModelState, samples: Samples,
 # -- training ----------------------------------------------------------------------
 
 
+def _keep_tape_pages(loss: Tensor) -> None:
+    """Keep the heap's pages for tapes like `loss`'s between batches.
+
+    glibc trims the heap top once twice its largest freed mmap block lies
+    free there (mallopt(3)), so each batch would fault its tape in again;
+    freeing one untouched block of the tape's size (<= 31 MB) raises that."""
+    nbytes, seen, todo = 0, {id(loss)}, [loss]
+    while todo:
+        node = todo.pop()
+        nbytes += node.data.nbytes
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    np.empty(min(nbytes, 31 << 20) // 8)
+
+
 # divergence is NumericError from the finite checks, not a numpy warning
 @np.errstate(over="ignore", invalid="ignore")
 def train(state: ModelState, train_samples: Samples, val_samples: Samples,
@@ -291,6 +333,8 @@ def train(state: ModelState, train_samples: Samples, val_samples: Samples,
             if not math.isfinite(loss.item()):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch starting {lo}")
+            if epoch == 1 and lo == 0:
+                _keep_tape_pages(loss)
             loss.backward()
             adam_step(state.params, state.params.gradients(),
                       lr=cfg.learning_rate)

@@ -1,9 +1,9 @@
-"""Named parameter collections and the Adam update rule."""
+"""Named parameters in one flat buffer, and the Adam update rule, which
+runs once over that buffer and two moment buffers laid out like it."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -15,24 +15,24 @@ from .tensor import Tensor
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
 class ParamSet:
-    """Named parameter tensors plus per-parameter Adam moments.
+    """Named parameter tensors plus flat Adam moments.
 
-    Moment arrays always mirror the parameter shapes; `step` increases by
-    exactly one per optimizer step.
+    Each parameter's `.data` is a view into `values`, in the dict's order,
+    and is never rebound.  `step` increases by exactly one per Adam step.
     """
 
-    params: dict[str, Tensor]
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
-
-    def __post_init__(self):
-        for name, p in self.params.items():
+    def __init__(self, params: dict[str, Tensor]):
+        self.params = params
+        self.values = np.concatenate([p.data for p in params.values()],
+                                     axis=None)
+        self.first_moment = np.zeros_like(self.values)
+        self.second_moment = np.zeros_like(self.values)
+        self.step = 0
+        ends = np.cumsum([p.data.size for p in params.values()])
+        for p, part in zip(params.values(), np.split(self.values, ends)):
+            p.data = part.reshape(p.shape)
             p.requires_grad = True
-            self.first_moment.setdefault(name, np.zeros_like(p.data))
-            self.second_moment.setdefault(name, np.zeros_like(p.data))
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -64,38 +64,44 @@ class ParamSet:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Copy `values` into the parameters' views, all or none."""
         if values.keys() != self.params.keys():
             raise ValueError("parameter names differ: "
                              f"{sorted(values.keys() ^ self.params.keys())}")
         for name, p in self.params.items():
-            incoming = values[name]
-            if incoming.shape != p.data.shape:
+            if values[name].shape != p.data.shape:
                 raise ValueError(f"shape mismatch for parameter {name!r}")
-            p.data = incoming.copy()
+        for name, p in self.params.items():
+            p.data[...] = values[name]
 
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray],
               lr: float) -> ParamSet:
-    """One bias-corrected Adam update over every named parameter."""
+    """One bias-corrected Adam update over every named parameter.
+
+    All checks run first, a missing or mis-shaped gradient before a
+    non-finite one.  The update is elementwise, so one pass over the flat
+    buffers gives bitwise the values of a per-parameter loop.
+    """
     if lr <= 0:
         raise ValueError("lr must be positive")
     for name, p in params.params.items():
         g = grads.get(name)
         if g is None or g.shape != p.data.shape:
             raise ValueError(f"gradient missing or mis-shaped for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name!r}")
+    g = np.concatenate([grads[name] for name in params.params], axis=None)
+    if not np.all(np.isfinite(g)):
+        name = next(name for name in params.params
+                    if not np.all(np.isfinite(grads[name])))
+        raise NumericError(f"non-finite gradient for {name!r}")
     params.step += 1
     t = params.step
-    for name, p in params.params.items():
-        g = grads[name]
-        m = params.first_moment[name]
-        v = params.second_moment[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1 ** t)
-        v_hat = v / (1.0 - BETA2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
+    m, v = params.first_moment, params.second_moment
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    params.values -= lr * m_hat / (np.sqrt(v_hat) + EPS)
     return params

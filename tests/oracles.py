@@ -10,6 +10,7 @@ from roadgrade.graphs import GRAPH_KEYS
 from roadgrade.model import (GRAPH_LETTERS, RESOLUTION_KEYS,
                              RESOLUTION_LETTERS, channel_fuse,
                              shared_gcn_layer, temporal_attention)
+from roadgrade.optim import BETA1, BETA2, EPS
 from roadgrade.tensor import Tensor, concat, softmax
 
 _RESOLUTION_BY_LETTER = {letter: key
@@ -62,6 +63,33 @@ def per_resolution_combinations(samples, graphs, state) -> Tensor:
         out.append(temporal_attention(
             channel_fuse(h2, state.params[f"fuse/{res}"])))
     return concat(out, axis=1)
+
+
+def gcn_layer_chain(z: Tensor, a_norm: Tensor, w: Tensor) -> Tensor:
+    """`model.shared_gcn_layer` as a matmul, matmul, ReLU chain of nodes."""
+    return (a_norm @ z @ w).relu()
+
+
+def channel_fuse_chain(z: Tensor, w: Tensor) -> Tensor:
+    """`model.channel_fuse` as a mul, sum chain of nodes."""
+    return (w * z).sum(axis=1)
+
+
+def adam_per_parameter(values: dict, first: dict, second: dict,
+                       grads: dict, step: int, lr: float) -> None:
+    """Step `step` of Adam, one parameter at a time, on dicts of arrays:
+    the moments are updated in place and each value is replaced."""
+    for name in values:
+        g = grads[name]
+        m = first[name]
+        v = second[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** step)
+        v_hat = v / (1.0 - BETA2 ** step)
+        values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def dtw_distance(a, b) -> float:

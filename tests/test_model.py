@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import ToySetup, random_symmetric, toy_config
-from oracles import grad_check, per_resolution_combinations
+from oracles import (channel_fuse_chain, gcn_layer_chain, grad_check,
+                     per_resolution_combinations)
 from roadgrade import model
 from roadgrade.data import Samples
 from roadgrade.errors import DataError
@@ -103,6 +104,105 @@ class TestChannelFuse:
                          Tensor(np.zeros((2, 2, 3))))
 
 
+# (batch, roads, hour window, hidden width) of the MINI config and of a
+# 36-road city
+FUSED_SHAPES = {"mini": (8, 6, 24, 6), "city36": (16, 36, 24, 32)}
+
+
+def _run_node(node, args, g):
+    """Output and gradients of `node(*args)` under upstream gradient `g`."""
+    for arg in args:
+        arg.zero_grad()
+    out = node(*args)
+    (out * Tensor(g)).sum().backward()
+    return out.data, [arg.grad for arg in args]
+
+
+class TestFusedNodes:
+    """The one-node GCN layer and channel fusion are bitwise their chains
+    of Tensor ops, forward and backward."""
+
+    @staticmethod
+    def _gcn_operands(shape, z_grad):
+        batch, n, window, hidden = shape
+        rng = np.random.default_rng(n + z_grad)
+        a_norm = np.stack([normalize_adjacency(random_symmetric(rng, n))
+                           for _ in range(4)])
+        # layer 1 reads the raw history, shared by all graphs; layer 2 the
+        # per-graph embeddings, which need a gradient
+        z_shape = ((batch, 2, 4, n, hidden) if z_grad
+                   else (batch, 2, 1, n, window))
+        f = z_shape[-1]
+        z = Tensor(rng.normal(size=z_shape), requires_grad=z_grad)
+        w = Tensor(rng.normal(size=(4, f, hidden)), requires_grad=True)
+        g = rng.normal(size=(batch, 2, 4, n, hidden))
+        return z, Tensor(a_norm), w, g
+
+    @pytest.mark.parametrize("z_grad", [False, True], ids=["layer1",
+                                                            "layer2"])
+    @pytest.mark.parametrize("shape", FUSED_SHAPES.values(),
+                             ids=FUSED_SHAPES.keys())
+    def test_gcn_layer_equals_chain_bitwise(self, shape, z_grad):
+        z, a_norm, w, g = self._gcn_operands(shape, z_grad)
+        out, (gz, _, gw) = _run_node(shared_gcn_layer, (z, a_norm, w), g)
+        ref, (ref_gz, _, ref_gw) = _run_node(gcn_layer_chain,
+                                             (z, a_norm, w), g)
+        assert 0 < np.count_nonzero(out) < out.size
+        assert np.array_equal(out, ref)
+        assert np.array_equal(gw, ref_gw)
+        if z_grad:
+            assert np.array_equal(gz, ref_gz)
+        else:
+            assert gz is None and ref_gz is None
+
+    @pytest.mark.parametrize("z_grad", [False, True],
+                             ids=["z-constant", "z-grad"])
+    @pytest.mark.parametrize("shape", FUSED_SHAPES.values(),
+                             ids=FUSED_SHAPES.keys())
+    def test_channel_fuse_equals_chain_bitwise(self, shape, z_grad):
+        batch, n, _, hidden = shape
+        rng = np.random.default_rng(n + 2 * z_grad)
+        z = Tensor(rng.normal(size=(batch, 2, 4, n, hidden)),
+                   requires_grad=z_grad)
+        w = Tensor(rng.normal(size=(2, 4, n, hidden)), requires_grad=True)
+        g = rng.normal(size=(batch, 4, n, hidden))
+        out, (gz, gw) = _run_node(channel_fuse, (z, w), g)
+        ref, (ref_gz, ref_gw) = _run_node(channel_fuse_chain, (z, w), g)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(gw, ref_gw)
+        if z_grad:
+            assert np.array_equal(gz, ref_gz)
+        else:
+            assert gz is None and ref_gz is None
+
+    @pytest.mark.parametrize("which", [0, 2], ids=["z", "w"])
+    def test_gcn_layer_gradcheck(self, which):
+        z, a_norm, w, g = self._gcn_operands((2, 4, 3, 2), z_grad=True)
+        operands = [z, a_norm, w]
+        weights = Tensor(g)
+
+        def f(point):
+            args = list(operands)
+            args[which] = point
+            return (shared_gcn_layer(*args) * weights).sum()
+
+        assert grad_check(f, operands[which], eps=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["z", "w"])
+    def test_channel_fuse_gradcheck(self, which):
+        rng = np.random.default_rng(31)
+        operands = [Tensor(rng.normal(size=(2, 2, 4, 3, 2))),
+                    Tensor(rng.normal(size=(2, 4, 3, 2)))]
+        weights = Tensor(rng.normal(size=(2, 4, 3, 2)))
+
+        def f(point):
+            args = list(operands)
+            args[which] = point
+            return (channel_fuse(*args) * weights).sum()
+
+        assert grad_check(f, operands[which]) < 1e-6
+
+
 class TestTemporalAttention:
     def test_single_feature_is_identity(self):
         x = Tensor(np.array([[1.0], [2.0], [3.0]]))
@@ -184,6 +284,57 @@ class TestOneTemporalAttentionPass:
         assert grads.keys() == ref_grads.keys()
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+class TestFusedForward:
+    """A forward through the fused GCN layers and channel fusions is
+    bitwise one through their chains of Tensor ops."""
+
+    @pytest.mark.parametrize("resolutions", [("hour", "day", "week"),
+                                             ("hour",)],
+                             ids=["full", "hourly"])
+    def test_matches_chain_forward(self, resolutions, monkeypatch):
+        setup = ToySetup(seed=6, n=6, hidden=6, heads=2,
+                         windows=(24, 7, 3), resolutions=resolutions)
+        batch = setup.samples(8)
+        params = setup.state.params
+
+        def run():
+            params.zero_grad()
+            logits, _ = forward(setup.state, batch, setup.graphs)
+            nll_loss(logits, batch.target).backward()
+            return logits.data, params.gradients()
+
+        logits, grads = run()
+        monkeypatch.setattr(model, "shared_gcn_layer", gcn_layer_chain)
+        monkeypatch.setattr(model, "channel_fuse", channel_fuse_chain)
+        ref_logits, ref_grads = run()
+        assert np.array_equal(logits, ref_logits)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def _tape_size(loss):
+    """Nodes reachable from `loss` through parents that require a
+    gradient, `loss` and parameter leaves included."""
+    seen = {id(loss)}
+    todo = [loss]
+    while todo:
+        for parent in todo.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return len(seen)
+
+
+def test_one_batch_records_51_tape_nodes():
+    # the MINI config's model: 6 roads, 2 heads, hidden width 6, 8 samples
+    setup = ToySetup(seed=7, n=6, hidden=6, heads=2, windows=(24, 7, 3),
+                     batch_size=8)
+    batch = setup.samples(8)
+    logits, _ = forward(setup.state, batch, setup.graphs)
+    assert _tape_size(nll_loss(logits, batch.target)) == 51
 
 
 class TestHighdimAttention:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import adam_per_parameter
 from roadgrade.errors import NumericError
 from roadgrade.optim import ParamSet, adam_step
 from roadgrade.tensor import Tensor
@@ -14,11 +15,68 @@ def make_params(**arrays):
 
 
 def test_moments_mirror_parameter_shapes():
-    params = make_params(w=[[1.0, 2.0], [3.0, 4.0]], b=[0.0, 0.0])
+    # one flat buffer per quantity; each parameter a view into the values
+    params = make_params(w=[[1.0, 2.0], [3.0, 4.0]], b=[5.0, 6.0])
+    assert params.values.shape == (6,)
+    assert params.first_moment.shape == params.values.shape
+    assert params.second_moment.shape == params.values.shape
+    assert not params.first_moment.any() and not params.second_moment.any()
+    np.testing.assert_array_equal(params.values, [1, 2, 3, 4, 5, 6])
+    assert params["w"].shape == (2, 2) and params["b"].shape == (2,)
     for name in params.params:
-        assert params.first_moment[name].shape == params[name].shape
-        assert params.second_moment[name].shape == params[name].shape
+        assert params[name].data.base is params.values
     assert params.step == 0
+
+
+def _mixed_params(rng):
+    return make_params(w=rng.standard_normal((3, 4)),
+                       b=rng.standard_normal(5),
+                       k=rng.standard_normal((2, 3, 2)))
+
+
+def test_flat_update_equals_per_parameter_loop_bitwise():
+    rng = np.random.default_rng(7)
+    params = _mixed_params(rng)
+    values = params.copy_values()
+    first = {name: np.zeros_like(v) for name, v in values.items()}
+    second = {name: np.zeros_like(v) for name, v in values.items()}
+    for step in range(1, 6):
+        grads = {name: rng.standard_normal(v.shape) * 10.0 ** step
+                 for name, v in values.items()}
+        adam_step(params, grads, lr=3e-3)
+        adam_per_parameter(values, first, second, grads, step, lr=3e-3)
+        for name in values:
+            assert np.array_equal(params[name].data, values[name]), name
+    assert params.step == 5
+
+
+def test_nonfinite_second_gradient_changes_nothing():
+    rng = np.random.default_rng(8)
+    params = _mixed_params(rng)
+    grads = {name: rng.standard_normal(params[name].shape)
+             for name in params.params}
+    adam_step(params, grads, lr=0.1)
+    state = [params.values.copy(), params.first_moment.copy(),
+             params.second_moment.copy()]
+    grads["b"][3] = np.inf
+    with pytest.raises(NumericError, match="'b'"):
+        adam_step(params, grads, lr=0.1)
+    assert params.step == 1
+    for before, after in zip(state, [params.values, params.first_moment,
+                                     params.second_moment]):
+        assert np.array_equal(before, after)
+
+
+def test_step_after_load_values_moves_the_parameters():
+    params = _mixed_params(np.random.default_rng(9))
+    views = {name: params[name].data for name in params.params}
+    loaded = {name: np.full(v.shape, 0.5) for name, v in views.items()}
+    params.load_values(loaded)
+    adam_step(params, {name: np.ones(v.shape) for name, v in views.items()},
+              lr=0.1)
+    for name, view in views.items():
+        assert params[name].data is view
+        np.testing.assert_allclose(view, 0.4, rtol=1e-7)
 
 
 def test_zero_gradient_leaves_parameters_unchanged():

@@ -1,11 +1,13 @@
 """The package's shape: every definition in it is used by it, one module,
 through one reader and one writer, holds the CSV format, one function calls
-numpy's text reader, and one module holds the combination labels."""
+numpy's text reader, one module holds the combination labels, and every
+layer that the benchmark traces exists under the name it wraps."""
 
 import ast
 from pathlib import Path
 
 import roadgrade
+from roadgrade import model, optim, tensor
 
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
            for path in sorted(Path(roadgrade.__file__).parent.glob("*.py"))}
@@ -70,3 +72,21 @@ def test_only_model_names_the_combination_letters():
     namers |= {module for module, node in _nodes(ast.alias)
                if node.name in letters}
     assert namers == {"model.py"}
+
+
+# the model, optimizer and tensor attributes the benchmark's tracer wraps;
+# it skips a missing one, so a renamed layer would read 0 there silently
+TRACED_MODEL_LAYERS = (
+    "init_state", "train", "predict_many", "forward", "build_combinations",
+    "shared_gcn_layer", "channel_fuse", "temporal_attention",
+    "highdim_attention", "fc_head", "nll_loss", "save_checkpoint",
+    "load_checkpoint", "adam_step")
+
+
+def test_every_traced_layer_exists():
+    owners = [(model, name) for name in TRACED_MODEL_LAYERS]
+    owners += [(optim.ParamSet, "copy_values"), (tensor.Tensor, "backward")]
+    missing = [f"{getattr(owner, '__name__', owner)}.{name}"
+               for owner, name in owners
+               if not callable(getattr(owner, name, None))]
+    assert missing == []
