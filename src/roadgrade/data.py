@@ -13,7 +13,6 @@ import json
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import chain, islice
 
 import numpy as np
 
@@ -199,11 +198,6 @@ def _stamp(hour: int) -> str:
     return (_EPOCH + hour * HOUR).isoformat()
 
 
-# Rows per batch of a road×hour table: about 64 KB of measurement text,
-# which bounds the footprint of a batch's rows and columns.
-_BATCH_ROWS = 1024
-
-
 def _read_plain(path, header: list[str], index: dict[str, int], convert):
     """The road, hour and values of each row of a road×hour table, and the
     hour of each timestamp, through numpy's text reader.  None where numpy
@@ -249,65 +243,41 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     exactly once.  Returns the values (roads, hours, k) in `road_ids` order
     as `convert`'s numpy type, and the first hour.
 
-    A plain table is read by numpy (`_read_plain`), any other in batches of
-    rows converted a column at a time; a batch that fails is converted again
-    a row at a time, to name the first bad row.
+    A plain table is read by numpy (`_read_plain`), any other a row at a
+    time, which names the first bad row.
     """
     width, what = len(header), "/".join(header[2:])
     index = {rid: r for r, rid in enumerate(road_ids)}
     hour_of: dict[str, int] = {}  # each distinct timestamp is parsed once
     roads, hours, *cells = ([] for _ in header)  # a list per column
-
-    def by_columns(rows: list[list[str]]) -> list[list]:
-        """The columns of `rows`, blank rows skipped.  ValueError says what
-        is wrong, with the row's values when `rows` is one row."""
-        if not {0, width}.issuperset(map(len, rows)):
-            raise ValueError(f"expected {width} columns")
-        flat = list(chain.from_iterable(rows))
-        road_col, stamp_col, *value_cols = (flat[c::width]
-                                            for c in range(width))
-        try:
-            batch = [list(map(index.__getitem__, road_col))]
-        except KeyError as exc:
-            raise ValueError(f"unknown road id {exc.args[0]!r}; road ids "
-                             "disagree with the network") from None
-        for raw in set(stamp_col).difference(hour_of):
-            hour_of[raw] = _parse_hour(raw)
-        batch.append(list(map(hour_of.__getitem__, stamp_col)))
-        try:
-            batch.extend(list(map(convert, col)) for col in value_cols)
-        except ValueError:
-            raise ValueError(f"bad {what} value {flat[2:width]}") from None
-        return batch
-
     source = read_csv_rows(path)
     if next(source, None) != header:
         raise DataError(f"{path}:1: expected header {','.join(header)}")
     if (plain := _read_plain(path, header, index, convert)) is not None:
         roads, hours, cells, hour_of = plain
-    record, error = 2, None
-    while plain is None and error is None:
-        rows = []
-        try:  # unlike list(), extend keeps the rows before an error
-            rows.extend(islice(source, _BATCH_ROWS))
-        except DataError as exc:
-            error = exc
-        if not rows:
-            break
-        try:
-            batch = by_columns(rows)
-        except ValueError:
-            for record, row in enumerate(rows, start=record):
+    else:
+        for record, row in enumerate(source, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise DataError(f"{path}:{record}: expected {width} columns")
+            if (road := index.get(row[0])) is None:
+                raise DataError(f"{path}:{record}: unknown road id "
+                                f"{row[0]!r}; road ids disagree with the "
+                                "network")
+            if (hour := hour_of.get(row[1])) is None:
                 try:
-                    by_columns([row])
+                    hour = hour_of[row[1]] = _parse_hour(row[1])
                 except ValueError as exc:
                     raise DataError(f"{path}:{record}: {exc}") from None
-            raise  # a fault always belongs to one row
-        for column, part in zip((roads, hours, *cells), batch):
-            column.extend(part)
-        record += len(rows)
-    if error is not None:
-        raise error
+            try:
+                for column, raw in zip(cells, row[2:]):
+                    column.append(convert(raw))
+            except ValueError:
+                raise DataError(
+                    f"{path}:{record}: bad {what} value {row[2:]}") from None
+            roads.append(road)
+            hours.append(hour)
     if not len(roads):
         raise DataError(f"{path}: no rows")
     distinct = sorted(set(hour_of.values()))

@@ -328,8 +328,8 @@ def global_morans_i(x, conn: np.ndarray) -> float:
     connectivity matrix `conn`."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if n < 2 or n != conn.shape[0]:
-        raise ValueError("need >= 2 roads matching the connectivity matrix")
+    if n != conn.shape[0]:
+        raise ValueError("need one value per road of the connectivity matrix")
     s0 = float(conn.sum())
     if s0 == 0.0:
         raise DegenerateVarianceError("network has no connections")
@@ -345,8 +345,8 @@ def local_morans_i(x, conn: np.ndarray) -> np.ndarray:
     """Per-road local autocorrelation (zero for isolated roads)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if n < 2 or n != conn.shape[0]:
-        raise ValueError("need >= 2 roads matching the connectivity matrix")
+    if n != conn.shape[0]:
+        raise ValueError("need one value per road of the connectivity matrix")
     dev = x - x.mean()
     mean_sq_dev = float(dev @ dev) / n
     if mean_sq_dev == 0.0:

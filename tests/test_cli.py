@@ -730,3 +730,23 @@ def test_edgeless_network_marks_moran_degenerate(tmp_path):
         assert entry == {"degenerate": True,
                          "reason": "network has no connections",
                          "global": None, "local": None}
+
+
+def test_one_road_network_runs_every_stage(tmp_path):
+    config, out = write_config(tmp_path, heads=1)
+    assert main(["synth", "--config", str(config)]) == 0
+    net, ids = read_network_csv(tmp_path / "network.csv")
+    series = read_measurements_csv(tmp_path / "measurements.csv", ids)
+    write_network_csv(tmp_path / "network.csv",
+                      RoadNetwork(net.lengths[:1], ()), ids[:1])
+    write_measurements_csv(tmp_path / "measurements.csv",
+                           TrafficSeries(series.values[:1], series.start),
+                           ids[:1])
+    for command in ("graphs", "label", "train", "predict", "evaluate",
+                    "explain", "ablate"):
+        assert main([command, "--config", str(config)]) == 0, command
+    report = json.loads((out / "moran_report.json").read_text())
+    for entry in report["channels"].values():
+        assert entry == {"degenerate": True,
+                         "reason": "network has no connections",
+                         "global": None, "local": None}

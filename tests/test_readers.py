@@ -268,6 +268,20 @@ def tables(draw, kind, flavour):
     return "".join(lines), ids
 
 
+@contextlib.contextmanager
+def _plain_reads():
+    """The results of `data._read_plain` while the block runs, in order."""
+    results = []
+    read_plain = data._read_plain
+
+    def record(*args):
+        results.append(read_plain(*args))
+        return results[-1]
+
+    with mock.patch.object(data, "_read_plain", record):
+        yield results
+
+
 def _read_both(scratch, content: bytes, kind, ids):
     """The package reader's and the reference's result or DataError
     message, in that order."""
@@ -287,36 +301,31 @@ def _read_both(scratch, content: bytes, kind, ids):
 @pytest.mark.parametrize("flavour", list(FLAVOURS))
 @pytest.mark.parametrize("kind", list(KINDS))
 @settings(max_examples=80, deadline=None)
-@given(data_=st.data(), batch_rows=st.integers(1, 5))
+@given(data_=st.data())
 def test_valid_table_reads_as_the_reference_reads_it(scratch, kind, flavour,
-                                                     data_, batch_rows):
+                                                     data_):
     text, ids = data_.draw(tables(kind, flavour))
-    # a numpy-flavoured table must not reach the batch loop, which alone
-    # calls islice
-    no_batches = mock.patch.object(
-        data, "islice", side_effect=AssertionError("batch loop entered"))
-    with mock.patch.object(data, "_BATCH_ROWS", batch_rows), \
-            no_batches if flavour == "numpy" else contextlib.nullcontext():
-        batched, reference = _read_both(scratch, text.encode(), kind, ids)
+    with _plain_reads() as plain:
+        package, reference = _read_both(scratch, text.encode(), kind, ids)
     assert not isinstance(reference, str), reference
-    assert batched == reference
+    assert package == reference
+    # a numpy-flavoured table must not reach the row loop
+    assert flavour != "numpy" or plain[0] is not None
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
-def test_plain_table_is_read_without_the_batch_loop(valid_files, scratch,
-                                                    kind):
-    # only the batch loop calls islice; a numpy path that always handed a
-    # table over would pass every differential test and gain nothing
+def test_plain_table_is_read_by_numpy_and_quoted_one_is_not(valid_files,
+                                                            scratch, kind):
+    # a numpy path that always handed a table over would pass every
+    # differential test and gain nothing
     plain = valid_files[kind]
     header, *rows = plain.splitlines(keepends=True)
     quoted = header + b"".join(b'"' + row[:1] + b'"' + row[1:]
                                for row in rows)
-    expected = _read_both(scratch, quoted, kind, IDS)
-    with mock.patch.object(data, "islice",
-                           side_effect=AssertionError("batch loop entered")):
-        assert _read_both(scratch, plain, kind, IDS) == expected
-        with pytest.raises(AssertionError, match="batch loop entered"):
-            _read_both(scratch, quoted, kind, IDS)
+    with _plain_reads() as tables:
+        assert (_read_both(scratch, plain, kind, IDS)
+                == _read_both(scratch, quoted, kind, IDS))
+    assert [table is not None for table in tables] == [True, False]
 
 
 # Tables on which numpy's text reader and csv.reader, or float() and int(),
@@ -353,9 +362,9 @@ HAZARDS = {
 def test_hazard_reads_as_the_reference_reads_it(scratch, name):
     kind, ids, rows, refused = HAZARDS[name]
     text = ",".join(KINDS[kind][0]) + "\n" + rows
-    batched, reference = _read_both(scratch, text.encode(), kind, ids)
+    package, reference = _read_both(scratch, text.encode(), kind, ids)
     assert isinstance(reference, str) == refused, reference
-    assert batched == reference
+    assert package == reference
 
 
 # Characters that break a table's structure, replacing a span of its text;
@@ -367,20 +376,18 @@ JUNK = st.one_of(st.text(',"\r\n\x00 AB1.:-Te\x85', max_size=6),
 @pytest.mark.parametrize("flavour", list(FLAVOURS))
 @pytest.mark.parametrize("kind", list(KINDS))
 @settings(max_examples=120, deadline=None)
-@given(data_=st.data(), batch_rows=st.integers(1, 5),
-       where=st.floats(0, 1), cut=st.integers(0, 8), junk=JUNK)
+@given(data_=st.data(), where=st.floats(0, 1), cut=st.integers(0, 8),
+       junk=JUNK)
 def test_mangled_table_fails_as_the_reference_fails(scratch, kind, flavour,
-                                                    data_, batch_rows,
-                                                    where, cut, junk):
+                                                    data_, where, cut, junk):
     text, ids = data_.draw(tables(kind, flavour))
     valid = text.encode()
     at = int(where * len(valid))
     if isinstance(junk, str):
         junk = junk.encode()
     mangled = valid[:at] + junk + valid[at + cut:]
-    with mock.patch.object(data, "_BATCH_ROWS", batch_rows):
-        batched, reference = _read_both(scratch, mangled, kind, ids)
-    assert batched == reference
+    package, reference = _read_both(scratch, mangled, kind, ids)
+    assert package == reference
 
 
 @pytest.mark.parametrize("write, read, values", [
@@ -426,23 +433,22 @@ def _open_quote_until_bad_byte(lines):
 
 @pytest.mark.parametrize("mangle", [
     _shift_a_field, _bad_value_then_bad_byte, _open_quote_until_bad_byte])
-def test_one_batch_of_many_blocks_fails_as_the_reference_fails(scratch,
-                                                               mangle):
-    # 300 rows in one batch span several of the 8 KB blocks that the text
-    # layer decodes at a time, so a bad byte late in the batch surfaces
-    # only after the rows before it
+def test_long_table_fails_as_the_reference_fails(scratch, mangle):
+    # 300 rows span several of the 8 KB blocks that the text layer decodes
+    # at a time, so a bad byte late in the table surfaces only after the
+    # rows before it
     values = np.arange(600, dtype=float).reshape(1, 300, 2)
     write_measurements_csv(scratch, TrafficSeries(values, START), ["A"])
     lines = scratch.read_bytes().split(b"\r\n")
     mangle(lines)
-    batched, reference = _read_both(scratch, b"\r\n".join(lines),
+    package, reference = _read_both(scratch, b"\r\n".join(lines),
                                     "measurements", ["A"])
     assert isinstance(reference, str)
-    assert batched == reference
+    assert package == reference
 
 
-# Faults of three kinds, by the record of one batch they go in; record n is
-# `lines[n - 1]`, the header being record 1
+# Faults of three kinds, by the record they go in; record n is `lines[n - 1]`,
+# the header being record 1
 FAULTS = {
     4: lambda line: line[:line.rindex(b",") + 1] + b"x",  # bad value
     9: lambda line: b"Z" + line[1:],                      # unknown road id
@@ -451,14 +457,14 @@ FAULTS = {
 
 
 @pytest.mark.parametrize("first", list(FAULTS))
-def test_first_of_several_faults_in_one_batch_is_named(scratch, first):
-    values = np.arange(2.0 * data._BATCH_ROWS).reshape(1, -1, 2)
+def test_first_of_several_faults_is_named(scratch, first):
+    values = np.arange(2048.0).reshape(1, 1024, 2)
     write_measurements_csv(scratch, TrafficSeries(values, START), ["A"])
     lines = scratch.read_bytes().split(b"\r\n")
     for record, fault in FAULTS.items():
         if record >= first:
             lines[record - 1] = fault(lines[record - 1])
-    batched, reference = _read_both(scratch, b"\r\n".join(lines),
+    package, reference = _read_both(scratch, b"\r\n".join(lines),
                                     "measurements", ["A"])
-    assert batched == reference
-    assert batched.startswith(f"{scratch}:{first}: ")
+    assert package == reference
+    assert package.startswith(f"{scratch}:{first}: ")
