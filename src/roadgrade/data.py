@@ -123,8 +123,6 @@ def split_anchors(t: int, horizon: int, windows: tuple[int, int, int],
     history; the last test target must lie inside the series.
     """
     n_train, n_val, n_test = (int(s) for s in sizes)
-    if min(n_train, n_val, n_test) < 0:
-        raise ValueError("split sizes must be non-negative")
     start = first_anchor(horizon, windows)
     train = range(start, start + n_train)
     val = range(train.stop, train.stop + n_val)
@@ -141,8 +139,6 @@ def enumerate_samples(series: TrafficSeries, grades: np.ndarray | None,
                       windows: tuple[int, int, int]) -> Samples:
     """The three-resolution inputs and grade targets of `anchors`; without
     `grades`, the inputs alone."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     if grades is not None and np.shape(grades) != (series.n, series.t):
         raise ValueError("grades shape must match the series")
     anchors = np.asarray(anchors, dtype=np.int64)
@@ -202,13 +198,15 @@ def _read_plain(path, header: list[str], index: dict[str, int], convert):
     """The road, hour and values of each row of a road×hour table, and the
     hour of each timestamp, through numpy's text reader.  None where numpy
     might read otherwise than csv.reader, float() and int(): a quote, a NUL
-    (dropped at a field's end), a line long enough for a field they refuse
-    (131,072 characters, 4,300 digits), a field that fills its width (cut);
-    and a field that numpy, `index` or `_parse_hour` refuses, or a warning."""
+    (dropped at a field's end), a byte \\x1c-\\x1f (a space to numpy only),
+    a line long enough for a field they refuse (131,072 characters, 4,300
+    digits), a field that fills its width (cut); and a field that numpy,
+    `index` or `_parse_hour` refuses, or a warning."""
     try:
         with open(path, "rb") as fh:
-            plain = not any(b'"' in block or b"\0" in block
-                            for block in iter(lambda: fh.read(1 << 16), b""))
+            plain = not any(byte in block
+                            for block in iter(lambda: fh.read(1 << 16), b"")
+                            for byte in b'"\0\x1c\x1d\x1e\x1f')
             fh.seek(0)
             if not plain or max(map(len, fh)) > 4096:  # < 4,300 digits
                 return None
@@ -312,10 +310,13 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
 def write_table(path, header: list[str], rows) -> None:
     """A CSV table: `header`, then `rows`, through `csv.writer`'s defaults
     (CRLF line ends, fields quoted only where needed)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_road_hours(path, header: list[str], values: np.ndarray,
@@ -358,8 +359,12 @@ def read_grades_csv(path, road_ids: list[str]
 def write_json(path, payload, indent: int | None = 2) -> None:
     """A JSON artifact with sorted keys; `indent=None` writes one line,
     built by the C encoder, which `json.dump` to a file never uses."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=indent))
+    text = json.dumps(payload, sort_keys=True, indent=indent)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def read_json_object(path, role: str) -> dict:

@@ -32,19 +32,14 @@ def som_train(samples: np.ndarray, class_count: int, seed: int,
     and j lie |i - j| apart, for (speed, flow) samples.  One iteration is a
     full pass over the samples in order.  The winning node and every strip
     neighbor within the current (decaying) reach move toward the sample by
-    learn_rate * radius, at most 1; late iterations update the winner alone.
+    learn_rate * radius; late iterations update the winner alone.  The
+    caller keeps radius0 > 1 and the first gain learn_rate0 * radius0 <= 1.
     """
-    if learn_rate0 <= 0 or max_iter <= 0:
-        raise ValueError("learning rate and iteration count must be positive")
     samples = _check_samples(samples)
     if samples.shape[1] != 2:
         raise ValueError("samples must be (count, 2) (speed, flow) pairs")
     if np.any(samples < 0) or np.any(samples > 1):
         raise ValueError("samples must be normalized to [0, 1]")
-    if radius0 <= 1.0:
-        raise ValueError("initial radius must exceed 1 for the decay schedule")
-    if learn_rate0 * radius0 > 1:  # the first, largest gain overshoots
-        raise ValueError("gain learn_rate0 * radius0 must not exceed 1")
     # The decayed radius approaches 1 by construction, so membership is
     # |i - j| <= radius - 1: initially every node closer than radius0,
     # shrinking to winner-only updates late in training.  Keeping distance-1

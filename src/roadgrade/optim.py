@@ -83,8 +83,6 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray],
     non-finite one.  The update is elementwise, so one pass over the flat
     buffers gives bitwise the values of a per-parameter loop.
     """
-    if lr <= 0:
-        raise ValueError("lr must be positive")
     for name, p in params.params.items():
         g = grads.get(name)
         if g is None or g.shape != p.data.shape:

@@ -27,7 +27,8 @@ VARIANT_NAMES = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One reproducibility artifact per run; flags override file values."""
+    """One reproducibility artifact per run; flags override file values.
+    Each range below is checked here only; the stages trust it."""
 
     network: str = "out/network.csv"
     measurements: str = "out/measurements.csv"

@@ -72,10 +72,6 @@ def _observe(rng: np.random.Generator, congestion: np.ndarray,
 def generate_synthetic(n_roads: int, weeks: int, seed: int
                        ) -> tuple[RoadNetwork, TrafficSeries]:
     """Connected network plus periodic speed/flow series with planted cycles."""
-    if n_roads < 4:
-        raise ValueError("need at least 4 roads")
-    if weeks < 4:
-        raise ValueError("need at least 4 weeks")
     rng = np.random.default_rng(seed)
     n_clusters = max(2, min(4, n_roads // 4))
     clusters = _cluster_assignment(n_roads, n_clusters)

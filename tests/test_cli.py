@@ -660,7 +660,8 @@ def test_huge_finite_measurement_exits_3_writing_nothing(tmp_path, capsys,
     ("test_size", -5), ("n_grades", 1), ("som_learn_rate", 0.34),
     ("som_radius", 12.0), ("alpha_speed", float("inf")),
     ("alpha_flow", float("inf")), ("learning_rate", float("inf")),
-    ("horizons", [1, 1]),
+    ("horizons", [1, 1]), ("som_max_iter", 0), ("hidden1", 0),
+    ("hidden2", 0), ("train_size", 0), ("heads", 0),
 ])
 def test_rejected_config_value_exits_1(tmp_path, capsys, key, value):
     config, _ = write_config(tmp_path, **{key: value})
@@ -750,3 +751,47 @@ def test_one_road_network_runs_every_stage(tmp_path):
         assert entry == {"degenerate": True,
                          "reason": "network has no connections",
                          "global": None, "local": None}
+
+
+# warnings are errors here, so an overflow warning would fail the test;
+# R000 and R001 touch, so a path holds both
+@pytest.mark.parametrize("lengths, code", [
+    ({"R000": "1e200"}, 0), ({"R000": "1.5e308"}, 0),
+    ({"R000": "1e308", "R001": "1e308"}, 2),
+], ids=["1e200", "1.5e308", "two-1e308"])
+def test_huge_road_lengths(tmp_path, capsys, lengths, code):
+    config, out = write_config(tmp_path)
+    assert main(["synth", "--config", str(config)]) == 0
+    path = tmp_path / "network.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[:rows.index(["road_a", "road_b"])]:
+        row[1] = lengths.get(row[0], row[1])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert main(["graphs", "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    if code:  # the total length overflows
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "network.csv" in err and list(out.iterdir()) == []
+        return
+    assert err == ""
+    attribute, _ = read_adjacency_csv(out / "adjacency_attribute.csv")
+    # R000's length is too far from any other for a nonzero kernel
+    assert not attribute[0].any() and np.count_nonzero(attribute) == 5 * 4
+    weighted, _ = read_adjacency_csv(out / "adjacency_weighted.csv")
+    assert np.isfinite(weighted).all() and weighted[0, 1] > 0
+
+
+@pytest.mark.parametrize("name", ["adjacency_pattern.csv",
+                                  "moran_report.json"])
+def test_unwritable_artifact_exits_2(tmp_path, capsys, name):
+    config, out = write_config(tmp_path)
+    assert main(["synth", "--config", str(config)]) == 0
+    (out / name).mkdir(parents=True)  # a directory in the artifact's place
+    capsys.readouterr()
+    assert main(["graphs", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {out / name}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

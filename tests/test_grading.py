@@ -116,6 +116,7 @@ class TestSomTrain:
         second = som_train(samples, class_count=4, **kwargs)
         assert np.array_equal(first, second)
 
+    # the schedule's ranges are RunConfig's to refuse (tests/test_cli.py)
     def test_input_validation(self):
         valid = dict(class_count=2, seed=0, learn_rate0=0.1, radius0=3.0,
                      max_iter=200)
@@ -123,19 +124,6 @@ class TestSomTrain:
             som_train(np.empty((0, 2)), **valid)
         with pytest.raises(ValueError):
             som_train(np.full((4, 2), 1.5), **valid)
-        with pytest.raises(ValueError):
-            som_train(np.full((4, 2), 0.5), **{**valid, "learn_rate0": 0.0})
-        with pytest.raises(ValueError):
-            som_train(np.full((4, 2), 0.5), **{**valid, "max_iter": 0})
-
-    def test_gain_above_one_refused(self):
-        # gain learn_rate0 * radius0 = 3 would overshoot every sample, and
-        # the weights would oscillate with growing amplitude
-        rng = np.random.default_rng(11)
-        samples = rng.uniform(0, 1, size=(1000, 2))
-        with pytest.raises(ValueError, match="gain"):
-            som_train(samples, class_count=5, seed=0, learn_rate0=1.0,
-                      radius0=3.0, max_iter=15)
 
     @pytest.mark.parametrize("cell", [np.nan, np.inf])
     def test_non_finite_samples_refused(self, cell):

@@ -455,12 +455,6 @@ class TestPatternGraph:
         w = build_pattern_graph(series, 1e-2, 1e-4, (0, 4), pattern_hours=3)
         assert w[0, 1] == w[0, 2] == 0.0 and w[1, 2] == 1.0
 
-    def test_window_too_short(self):
-        series = constant_series(np.ones((2, 10, 2)))
-        with pytest.raises(DataError):
-            build_pattern_graph(series, 1e-2, 1e-4, (0, 10),
-                                pattern_hours=24)
-
     def test_monotone_in_distance(self):
         # three flat roads at increasing offsets from road 0
         values = np.zeros((3, 5, 2))
@@ -524,12 +518,6 @@ class TestAttributeGraph:
                         + (speed_n[i] - speed_n[j]) ** 2
                         + (lengths[i] - lengths[j]) ** 2)
                 assert w[i, j] == pytest.approx(np.exp(-dist))
-
-    def test_requires_full_day(self):
-        series = constant_series(np.ones((2, 20, 2)))
-        net = RoadNetwork(np.ones(2), ((0, 1),))
-        with pytest.raises(DataError):
-            build_attribute_graph(series, net, (0, 20))
 
 
 # -- normalization --------------------------------------------------------------------

@@ -345,6 +345,8 @@ HAZARDS = {
         "A,2020-01-06T01:00:00.000000,3.0,4.0\n", False),
     "timestamp-whose-first-20-bytes-are-a-whole-hour": (
         "measurements", ["A"], "A,20200106T010000.00001,1.0,2.0\n", True),
+    "information-separator-before-a-value": (
+        "measurements", ["A"], "A,2020-01-06T00:00:00,\x1c0.0,1.0\n", True),
     "digit-group-underscore": ("measurements", ["A"],
                                "A,2020-01-06T00:00:00,6_9.5,1.0\n", False),
     "arabic-indic-digits": ("measurements", ["A"],

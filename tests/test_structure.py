@@ -2,14 +2,17 @@
 a method of a base class from outside it, one module, through one reader
 and one writer, holds the CSV format, one function calls numpy's text
 reader, one module holds the combination labels, and every layer that the
-benchmark traces exists under the name it wraps."""
+benchmark traces exists under the name it wraps, with the parameter names
+its counts read."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import roadgrade
-from roadgrade import model, optim, tensor
+from roadgrade import (data, explain, grading, graphs, metrics, model, optim,
+                       pipeline, tensor)
 
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
            for path in sorted(Path(roadgrade.__file__).parent.glob("*.py"))}
@@ -93,19 +96,48 @@ def test_only_model_names_the_combination_letters():
     assert namers == {"model.py"}
 
 
-# the model, optimizer and tensor attributes the benchmark's tracer wraps;
-# it skips a missing one, so a renamed layer would read 0 there silently
-TRACED_MODEL_LAYERS = (
-    "init_state", "train", "predict_many", "forward", "build_combinations",
-    "shared_gcn_layer", "channel_fuse", "temporal_attention",
-    "highdim_attention", "fc_head", "nll_loss", "save_checkpoint",
-    "load_checkpoint", "adam_step")
+# the attributes the benchmark's tracer wraps, by owner; it skips a missing
+# one, so a renamed layer would read 0 there silently
+TRACED_LAYERS = {
+    pipeline: ("load_inputs",),
+    graphs: ("read_network_csv", "write_adjacency_csv", "build_topological",
+             "build_weighted_topological", "build_pattern_graph",
+             "build_attribute_graph", "normalize_adjacency",
+             "global_morans_i", "local_morans_i"),
+    graphs.GraphSet: ("build",),
+    grading: ("label_series", "som_train", "som_assign", "ordinalize"),
+    data: ("read_measurements_csv", "read_grades_csv", "write_grades_csv",
+           "minmax_normalize", "enumerate_samples"),
+    metrics: ("accuracy", "quadratic_weighted_kappa", "grade_mae_series"),
+    explain: ("read_attention_record", "write_attention_record",
+              "build_report", "write_report_csv"),
+    model: ("init_state", "train", "predict_many", "forward",
+            "build_combinations", "shared_gcn_layer", "channel_fuse",
+            "temporal_attention", "highdim_attention", "fc_head", "nll_loss",
+            "save_checkpoint", "load_checkpoint", "adam_step"),
+    optim.ParamSet: ("copy_values",),
+    tensor.Tensor: ("backward",),
+}
+
+# the parameters whose arguments the tracer's count hooks read by name: a
+# rename would zero a count, or fail the traced run with a KeyError
+COUNTED_PARAMETERS = {
+    graphs.build_pattern_graph: ("history", "window", "pattern_hours"),
+    grading.som_train: ("samples", "max_iter"),
+    model.save_checkpoint: ("path",),
+}
 
 
 def test_every_traced_layer_exists():
-    owners = [(model, name) for name in TRACED_MODEL_LAYERS]
-    owners += [(optim.ParamSet, "copy_values"), (tensor.Tensor, "backward")]
     missing = [f"{getattr(owner, '__name__', owner)}.{name}"
-               for owner, name in owners
+               for owner, names in TRACED_LAYERS.items() for name in names
                if not callable(getattr(owner, name, None))]
+    assert missing == []
+
+
+def test_every_counted_parameter_exists():
+    missing = [f"{function.__name__}({name})"
+               for function, names in COUNTED_PARAMETERS.items()
+               for name in names
+               if name not in inspect.signature(function).parameters]
     assert missing == []

@@ -1,7 +1,6 @@
 """Planted structure of the synthetic generators."""
 
 import numpy as np
-import pytest
 
 from roadgrade.graphs import shortest_paths
 from roadgrade.synth import generate_synthetic
@@ -45,11 +44,4 @@ def test_shapes_and_positivity():
     assert net.n == 9
     assert series.values.shape == (9, 4 * 168, 2)
     assert np.all(series.values >= 0)
-
-
-def test_preconditions():
-    with pytest.raises(ValueError):
-        generate_synthetic(3, 4, seed=0)
-    with pytest.raises(ValueError):
-        generate_synthetic(8, 3, seed=0)
 
