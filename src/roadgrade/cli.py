@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericError
-from .pipeline import (load_config, run_ablate, run_evaluate,
+from .pipeline import (load_config, make_dir, run_ablate, run_evaluate,
                        run_explain, run_graphs, run_label, run_predict,
                        run_synth, run_train)
 
@@ -68,11 +67,7 @@ def _run(args) -> list:
     elif horizon < 1:
         raise ConfigError("horizon must be >= 1")
     _, runner = COMMANDS[args.command]
-    try:
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # e.g. a regular file of that name exists
-        raise ConfigError(f"cannot create out_dir {cfg.out_dir}: "
-                          f"{exc.strerror}") from None
+    make_dir("out_dir", cfg.out_dir)
     return runner(cfg, horizon)
 
 

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import chain
 
 import numpy as np
 
@@ -307,16 +310,26 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     return values.reshape(len(road_ids), span, -1), _EPOCH + first * HOUR
 
 
+def _write_text(path, write) -> None:
+    """What `write(fh)` writes, in a file beside `path` that then replaces
+    it: a failed write leaves the previous file and no other."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", newline="") as fh:
+            write(fh)
+        os.replace(temporary, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    finally:  # after the replace there is no such file
+        with suppress(OSError):
+            os.remove(temporary)
+
+
 def write_table(path, header: list[str], rows) -> None:
     """A CSV table: `header`, then `rows`, through `csv.writer`'s defaults
     (CRLF line ends, fields quoted only where needed)."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    _write_text(path, lambda fh: csv.writer(fh).writerows(
+        chain([header], rows)))
 
 
 def _write_road_hours(path, header: list[str], values: np.ndarray,
@@ -360,11 +373,7 @@ def write_json(path, payload, indent: int | None = 2) -> None:
     """A JSON artifact with sorted keys; `indent=None` writes one line,
     built by the C encoder, which `json.dump` to a file never uses."""
     text = json.dumps(payload, sort_keys=True, indent=indent)
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    _write_text(path, lambda fh: fh.write(text))
 
 
 def read_json_object(path, role: str) -> dict:
@@ -379,10 +388,14 @@ def read_json_object(path, role: str) -> dict:
     return payload
 
 
-def read_versioned(path, role: str, fmt: str, version: int) -> dict:
-    """A JSON object artifact whose `format` and `version` are `fmt` and
-    `version`."""
-    payload = read_json_object(path, role)
-    if payload.get("format") != fmt or payload.get("version") != version:
-        raise DataError(f"{path} is not a version-{version} {role}")
-    return payload
+def check_artifact(path, found: dict, expected: dict, stage: str) -> None:
+    """Name the path, the first key of `expected` whose value differs from
+    `found`'s as a JSON value (1 equals 1.0; `true` equals no number), and
+    `stage`, which writes the artifact, to rerun."""
+    for key, wanted in expected.items():
+        shown = [json.dumps(item) for item in (found.get(key), wanted)]
+        if len({json.dumps(json.loads(text, parse_int=float), sort_keys=True)
+                for text in shown}) > 1:
+            detail = ("differs" if len("".join(shown)) > 80  # e.g. road ids
+                      else f"is {shown[0]}, expected {shown[1]}")
+            raise DataError(f"{path}: {key} {detail}; rerun {stage}")

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import read_versioned, write_json, write_table
+from .data import check_artifact, read_json_object, write_json, \
+    write_table
 from .errors import DataError
 from .graphs import GRAPH_KEYS
 from .model import COMBINATION_LABELS, RESOLUTION_KEYS
@@ -97,16 +98,12 @@ def read_attention_record(path, prediction_length: int,
                           shape: tuple[int, ...]) -> np.ndarray:
     """The score tensor at `path`; the record must hold COMBINATION_LABELS,
     `prediction_length` and `shape`, normalized over the attended axis."""
-    payload = read_versioned(path, "attention record", TRACE_FORMAT,
-                             TRACE_VERSION)
+    payload = read_json_object(path, "attention record")
+    check_artifact(path, payload, {
+        "format": TRACE_FORMAT, "version": TRACE_VERSION,
+        "labels": COMBINATION_LABELS, "prediction_length": prediction_length,
+        "shape": shape}, "predict")
     try:
-        for key, expected in (("labels", list(COMBINATION_LABELS)),
-                              ("prediction_length", prediction_length),
-                              ("shape", list(shape))):
-            if (type(payload[key]) is not type(expected)
-                    or payload[key] != expected):
-                raise ValueError(f"expected {key} {expected!r}, found "
-                                 f"{payload[key]!r}")
         attention = np.array(payload["values"],
                              dtype=np.float64).reshape(shape)
         if not np.allclose(attention.sum(axis=2), 1.0, atol=1e-6):

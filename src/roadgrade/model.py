@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import Samples, read_versioned, write_json
+from .data import Samples, check_artifact, read_json_object, write_json
 from .errors import DataError, NumericError
 from .graphs import GraphSet, GRAPH_KEYS
 from .optim import ParamSet, adam_step
@@ -343,46 +343,39 @@ def train(state: ModelState, train_samples: Samples, val_samples: Samples,
 # -- checkpointing -------------------------------------------------------------------
 
 
-def _pack(arrays: dict[str, np.ndarray]) -> dict:
-    return {name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
-            for name, arr in arrays.items()}
-
-
-def _unpack(packed: dict) -> dict[str, np.ndarray]:
-    return {name: np.array(entry["values"]).reshape(entry["shape"])
-            for name, entry in packed.items()}
-
-
 def save_checkpoint(path, state: ModelState) -> None:
-    config = asdict(state.config)
-    config["resolutions"] = list(config["resolutions"])
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "seed": state.seed,
-        "config": config,
-        "params": _pack({n: p.data for n, p in state.params.params.items()}),
+        "config": asdict(state.config),  # tuples as JSON lists
+        "params": {name: {"shape": list(p.shape),
+                          "values": p.data.ravel().tolist()}
+                   for name, p in state.params.params.items()},
     }
     write_json(path, payload, indent=None)
 
 
 def load_checkpoint(path, expected_config: ModelConfig) -> ModelState:
-    """The state saved at `path`, whose config must be `expected_config`
-    and whose parameter values must all be finite."""
-    payload = read_versioned(path, "checkpoint", CHECKPOINT_FORMAT,
-                             CHECKPOINT_VERSION)
+    """The state saved at `path`, whose config, parameter names and shapes
+    must be `expected_config`'s and whose values must all be finite."""
+    payload = read_json_object(path, "checkpoint")
+    check_artifact(path, payload, {"format": CHECKPOINT_FORMAT,
+                                   "version": CHECKPOINT_VERSION}, "train")
     try:
-        raw_config = dict(payload["config"])
-        raw_config["resolutions"] = tuple(raw_config["resolutions"])
-        if ModelConfig(**raw_config) != expected_config:
-            raise DataError(f"checkpoint config in {path} does not match "
-                            "the requested configuration")
-        values = _unpack(payload["params"])
+        state = init_state(expected_config, seed=payload["seed"])
+        params = payload["params"]
+        check_artifact(path, {**payload["config"], "params": {
+            name: entry["shape"] for name, entry in params.items()}},
+            {**asdict(expected_config), "params": {
+                name: p.shape for name, p in state.params.params.items()}},
+            "train")
+        values = {name: np.reshape(entry["values"], entry["shape"])
+                  for name, entry in params.items()}
         for name, value in values.items():
             if not np.all(np.isfinite(value)):
                 raise DataError(f"{path}: parameter {name!r} is not finite")
-        state = init_state(expected_config, seed=payload["seed"])
         state.params.load_values(values)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc!r}") from None
     return state

@@ -152,6 +152,15 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
+def make_dir(key: str, path) -> None:
+    """Create directory `path`, with its parents, for config key `key`."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a regular file of that name exists
+        raise ConfigError(f"cannot create {key} directory {path}: "
+                          f"{exc.strerror}") from None
+
+
 # -- shared loading steps ---------------------------------------------------------
 
 
@@ -186,6 +195,11 @@ def _read_grades(path: Path, road_ids: list[str], n_grades: int):
     return grades, start
 
 
+def _hours(start, count: int) -> dict:
+    """The hours that a road×hour table covers."""
+    return {"first hour": start.isoformat(), "hour count": count}
+
+
 def _graph_inputs(cfg: RunConfig, window: tuple[int, int]) -> dict:
     """What the graphs depend on besides the network and measurements."""
     return {"window_hours": list(window), "alpha_speed": cfg.alpha_speed,
@@ -196,17 +210,14 @@ def _read_graphs(cfg: RunConfig, road_ids: list[str],
                  window: tuple[int, int]) -> graphs.GraphSet:
     """The four graphs that `graphs` wrote with this config and window."""
     report_path = cfg.out_path("moran_report.json")
-    report = data.read_json_object(report_path, "Moran report")
-    stale = ", ".join(key for key, value in _graph_inputs(cfg, window).items()
-                      if report.get(key) != value)
-    if stale:
-        raise DataError(f"{report_path}: {stale} changed; rerun graphs")
+    data.check_artifact(report_path, data.read_json_object(
+        report_path, "Moran report"), _graph_inputs(cfg, window), "graphs")
     matrices = {}
     for key in graphs.GRAPH_KEYS:
         path = cfg.out_path(f"adjacency_{key}.csv")
         matrices[key], header = graphs.read_adjacency_csv(path)
-        if header != road_ids:
-            raise DataError(f"{path}: header is not the network's roads")
+        data.check_artifact(path, {"header": header}, {"header": road_ids},
+                            "graphs")
     return graphs.GraphSet(**matrices)
 
 
@@ -227,9 +238,8 @@ def _prepared(cfg: RunConfig, horizon: int, *wanted: str, inputs=None,
         grade_path = artifact(cfg, "grades", horizon, "csv")
         grade_values, start = _read_grades(grade_path, road_ids,
                                            cfg.n_grades)
-        if start != series.start or grade_values.shape[1] != series.t:
-            raise DataError(
-                f"{grade_path} does not cover the measurement series")
+        data.check_artifact(grade_path, _hours(start, grade_values.shape[1]),
+                            _hours(series.start, series.t), "label")
     graph_set = _read_graphs(cfg, road_ids, window)
     anchors = dict(zip(("train", "val", "test"), splits))
     samples = tuple(data.enumerate_samples(normalized, grade_values,
@@ -257,8 +267,8 @@ def run_synth(cfg: RunConfig) -> list[Path]:
     net, series = synth.generate_synthetic(cfg.synth_roads, cfg.synth_weeks,
                                            cfg.seed)
     ids = synth.road_ids(net.n)
-    for target in (cfg.network, cfg.measurements):
-        Path(target).parent.mkdir(parents=True, exist_ok=True)
+    for key in ("network", "measurements"):
+        make_dir(key, Path(getattr(cfg, key)).parent)
     graphs.write_network_csv(cfg.network, net, ids)
     data.write_measurements_csv(cfg.measurements, series, ids)
     return [Path(cfg.network), Path(cfg.measurements)]
@@ -375,10 +385,8 @@ def run_evaluate(cfg: RunConfig, horizon: int) -> list[Path]:
         raise DataError(f"{grade_path}: {exc}") from None
     first, last = test.start + horizon, test.stop + horizon
     first_stamp = start + first * data.HOUR
-    if pred_start != first_stamp or preds.shape[1] != len(test):
-        raise DataError(
-            f"{pred_path} does not cover the {len(test)} test hours from "
-            f"{first_stamp.isoformat()}; rerun predict")
+    data.check_artifact(pred_path, _hours(pred_start, preds.shape[1]),
+                        _hours(first_stamp, len(test)), "predict")
     truth = grade_values[:, first:last]
     payload = {
         "horizon": horizon,

@@ -414,20 +414,24 @@ def _drop_last_hour(path):
 
 
 class TestStalePredictions:
-    @pytest.mark.parametrize("tamper, extra", [
-        (_grade_nine, {}),
-        (_drop_fifth_test_hour, {}),
-        (None, {"val_size": 10}),
-        (_duplicate_first_row, {}),
+    @pytest.mark.parametrize("tamper, extra, stale", [
+        (_grade_nine, {}, None),
+        (_drop_fifth_test_hour, {}, None),
+        (None, {"val_size": 10}, "first hour"),
+        (_duplicate_first_row, {}, None),
     ], ids=["grade-9", "missing-hour", "other-val-size", "duplicate-row"])
     def test_evaluate_exits_2_naming_predictions(self, pipeline, tmp_path,
-                                                 capsys, tamper, extra):
+                                                 capsys, tamper, extra,
+                                                 stale):
         config, out = _copy_pipeline(pipeline, tmp_path, **extra)
         if tamper is not None:
             tamper(out / "predictions_h1.csv")
         assert main(["evaluate", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "predictions_h1.csv" in err and "Traceback" not in err
+        if stale:  # an artifact of another run names the stage to rerun
+            assert f"predictions_h1.csv: {stale} is " in err
+            assert err.endswith("; rerun predict\n")
 
     def test_train_rejects_out_of_range_grade(self, pipeline, tmp_path,
                                               capsys):
@@ -442,7 +446,8 @@ class TestStalePredictions:
         _drop_last_hour(out / "grades_h1.csv")
         assert main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert "grades_h1.csv" in err and "Traceback" not in err
+        assert "grades_h1.csv: hour count is 671, expected 672; rerun label" \
+            in err and "Traceback" not in err
 
 
 def _drop(path):
@@ -467,23 +472,30 @@ class TestGraphArtifacts:
     """train and predict read the graphs that `graphs` wrote."""
 
     @pytest.mark.parametrize("command", ["train", "predict"])
-    @pytest.mark.parametrize("name, tamper, extra", [
-        ("adjacency_weighted.csv", _drop, {}),
-        ("adjacency_pattern.csv", _asymmetric, {}),
-        ("adjacency_topological.csv", _other_road_ids, {}),
-        ("moran_report.json", None, {"train_size": 90}),
-        ("moran_report.json", None, {"alpha_speed": 0.5}),
-        ("moran_report.json", None, {"pattern_hours": 4}),
+    @pytest.mark.parametrize("name, tamper, extra, stale", [
+        ("adjacency_weighted.csv", _drop, {}, None),
+        ("adjacency_pattern.csv", _asymmetric, {}, None),
+        ("adjacency_topological.csv", _other_road_ids, {},
+         "header differs"),
+        ("moran_report.json", None, {"train_size": 90},
+         "window_hours is [0, 604], expected [0, 594]"),
+        ("moran_report.json", None, {"alpha_speed": 0.5},
+         "alpha_speed is 0.01, expected 0.5"),
+        ("moran_report.json", None, {"pattern_hours": 4},
+         "pattern_hours is 6, expected 4"),
     ], ids=["missing", "asymmetric", "other-road-ids", "stale-window",
             "stale-alpha", "stale-pattern"])
     def test_bad_graph_artifact_exits_2_naming_file(
-            self, pipeline, tmp_path, capsys, command, name, tamper, extra):
+            self, pipeline, tmp_path, capsys, command, name, tamper, extra,
+            stale):
         config, out = _copy_pipeline(pipeline, tmp_path, **extra)
         if tamper is not None:
             tamper(out / name)
         assert main([command, "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
+        if stale:  # one line naming the key and the stage to rerun
+            assert err == f"data error: {out / name}: {stale}; rerun graphs\n"
 
     def test_model_stages_build_no_graph(self, pipeline, tmp_path,
                                          monkeypatch):
@@ -584,26 +596,35 @@ def _set_parameter(name, value):
     return tamper
 
 
-@pytest.mark.parametrize("command, name, tamper", [
+@pytest.mark.parametrize("command, name, tamper, rerun", [
     ("predict", "checkpoint_h1.json",
      lambda path: _set_json(path, {"format": "roadgrade-checkpoint",
-                                   "version": CHECKPOINT_VERSION})),
-    ("predict", "checkpoint_h1.json", lambda path: _set_json(path, [1, 2])),
-    ("predict", "checkpoint_h1.json", _per_graph_kernels),
-    ("predict", "checkpoint_h1.json", _extra_parameter),
-    ("predict", "checkpoint_h1.json", _set_parameter("attn/query", np.nan)),
-    ("predict", "checkpoint_h1.json", _set_parameter("head/bias", np.nan)),
-    ("predict", "checkpoint_h1.json", _set_parameter("head/bias", -np.inf)),
-    ("explain", "attention_h1.json", _shape_off_by_one),
-    ("explain", "attention_h1.json", lambda path: _set_json(path, [])),
-    ("explain", "attention_h1.json", _without_values),
-    ("explain", "attention_h1.json", _set_label(0, "x_y")),
-    ("explain", "attention_h1.json", _set_label(0, 5)),
-    ("explain", "attention_h1.json", _set_label(1, "r_h")),
-    ("explain", "attention_h1.json", _reversed_labels),
-    ("explain", "attention_h1.json", _set_field("prediction_length", 3)),
-    ("explain", "attention_h1.json", _set_field("prediction_length", "x")),
-    ("explain", "attention_h1.json", _first_head_only),
+                                   "version": CHECKPOINT_VERSION}), None),
+    ("predict", "checkpoint_h1.json", lambda path: _set_json(path, [1, 2]),
+     None),
+    ("predict", "checkpoint_h1.json", _per_graph_kernels, "train"),
+    ("predict", "checkpoint_h1.json", _extra_parameter, "train"),
+    ("predict", "checkpoint_h1.json", _set_parameter("attn/query", np.nan),
+     None),
+    ("predict", "checkpoint_h1.json", _set_parameter("head/bias", np.nan),
+     None),
+    ("predict", "checkpoint_h1.json", _set_parameter("head/bias", -np.inf),
+     None),
+    ("explain", "attention_h1.json", _shape_off_by_one, "predict"),
+    ("explain", "attention_h1.json", lambda path: _set_json(path, []), None),
+    ("explain", "attention_h1.json", _without_values, None),
+    ("explain", "attention_h1.json", _set_label(0, "x_y"), "predict"),
+    ("explain", "attention_h1.json", _set_label(0, 5), "predict"),
+    ("explain", "attention_h1.json", _set_label(1, "r_h"), "predict"),
+    ("explain", "attention_h1.json", _reversed_labels, "predict"),
+    ("explain", "attention_h1.json", _set_field("prediction_length", 3),
+     "predict"),
+    ("explain", "attention_h1.json", _set_field("prediction_length", "x"),
+     "predict"),
+    # `true` is no number, although True == 1 in Python
+    ("explain", "attention_h1.json", _set_field("prediction_length", True),
+     "predict"),
+    ("explain", "attention_h1.json", _first_head_only, "predict"),
 ], ids=["checkpoint-no-config", "checkpoint-list",
         "checkpoint-per-graph-layout", "checkpoint-extra-parameter",
         "checkpoint-nan-query", "checkpoint-nan-bias", "checkpoint-inf-bias",
@@ -611,14 +632,27 @@ def _set_parameter(name, value):
         "attention-list", "attention-no-values", "attention-unknown-label",
         "attention-label-not-string", "attention-repeated-label",
         "attention-reversed-labels", "attention-prediction-length-3",
-        "attention-prediction-length-string", "attention-one-head"])
+        "attention-prediction-length-string",
+        "attention-prediction-length-true", "attention-one-head"])
 def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
-                                         name, tamper):
+                                         name, tamper, rerun):
     config, out = _copy_pipeline(pipeline, tmp_path)
     tamper(out / name)
     assert main([command, "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
+    if rerun:  # a record of another layout names the stage that writes it
+        assert err.startswith(f"data error: {out / name}: ")
+        assert err.endswith(f"; rerun {rerun}\n") and err.count("\n") == 1
+
+
+def test_checkpoint_of_another_config_exits_2_naming_key(pipeline, tmp_path,
+                                                         capsys):
+    config, out = _copy_pipeline(pipeline, tmp_path, hidden2=8)
+    assert main(["predict", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'checkpoint_h1.json'}: hidden2 is 6, expected 8;"
+        " rerun train\n")
 
 
 def test_diverging_training_exits_3(pipeline, tmp_path, capsys):
@@ -698,6 +732,18 @@ class TestOverrides:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(afile) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["network", "measurements"])
+    def test_synth_input_directory_naming_a_file_exits_1(self, tmp_path,
+                                                         capsys, key):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        config, _ = write_config(tmp_path, **{key: str(afile / "x.csv")})
+        assert main(["synth", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create {key} directory "
+                              f"{afile}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_constant_field_marks_moran_degenerate(tmp_path):

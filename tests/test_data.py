@@ -1,14 +1,19 @@
-"""Normalization, three-resolution slicing, splits and measurement files."""
+"""Normalization, three-resolution slicing, splits, measurement files, the
+staleness check of artifacts read back, and atomic artifact writes."""
 
+import errno
+import os
 from datetime import datetime
 
 import numpy as np
 import pytest
 
-from roadgrade.data import (TrafficSeries, enumerate_samples, first_anchor, minmax_normalize,
+from roadgrade.data import (TrafficSeries, check_artifact, enumerate_samples,
+                            first_anchor, minmax_normalize,
                             read_grades_csv, read_measurements_csv,
                             resolution_indices, split_anchors,
-                            write_grades_csv, write_measurements_csv)
+                            write_grades_csv, write_json,
+                            write_measurements_csv, write_table)
 from roadgrade.errors import DataError
 
 START = datetime(2020, 1, 6)
@@ -207,3 +212,89 @@ class TestGradeCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="grades.csv:5: duplicate row"):
             read_grades_csv(path, ["A"])
+
+
+class TestCheckArtifact:
+    """Values compare as JSON values: numbers by value, a bool equal to no
+    number, strings and lists exactly."""
+
+    @pytest.mark.parametrize("found, wanted", [
+        (1, 1.0), (1.0, 1), ([0, 744], [0.0, 744.0]), (True, True),
+        ({"w": [2, 3], "b": [2]}, {"b": [2.0], "w": [2, 3]}),
+        (["r_h", "w_h"], ("r_h", "w_h")),
+    ], ids=["int-float", "float-int", "list-of-numbers", "bool", "dict",
+            "tuple"])
+    def test_equal_json_values_pass(self, found, wanted):
+        check_artifact("a.json", {"k": found}, {"k": wanted}, "graphs")
+
+    @pytest.mark.parametrize("found, wanted", [
+        (True, 1), (1, True), (False, 0), ([True], [1]), ("1", 1),
+        ([0, 744], [744, 0]), (["r_h", "w_h"], ["w_h", "r_h"]), (None, 0),
+    ], ids=["true-1", "1-true", "false-0", "list-true-1", "string-number",
+            "reordered-numbers", "reordered-labels", "null-0"])
+    def test_different_json_values_fail(self, found, wanted):
+        with pytest.raises(DataError, match="rerun train"):
+            check_artifact("a.json", {"k": found}, {"k": wanted}, "train")
+
+    def test_message_names_path_first_differing_key_and_stage(self):
+        with pytest.raises(DataError) as caught:
+            check_artifact("out/m.json", {"a": 1, "b": 2, "c": 3},
+                           {"a": 1.0, "b": 0.5, "c": 4}, "graphs")
+        assert str(caught.value) == \
+            "out/m.json: b is 2, expected 0.5; rerun graphs"
+
+    def test_missing_key_and_long_values(self):
+        with pytest.raises(DataError, match=r"^p: k is null, expected 1; "
+                                            "rerun label$"):
+            check_artifact("p", {}, {"k": 1}, "label")
+        ids = [f"R{i:03d}" for i in range(20)]
+        with pytest.raises(DataError, match=r"^p: header differs; "
+                                            "rerun graphs$"):
+            check_artifact("p", {"header": ids[::-1]}, {"header": ids},
+                           "graphs")
+
+
+def _rows_then_disk_full():
+    yield ["a", 1]
+    yield ["b", 2]
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestAtomicWrites:
+    """A failed write leaves the previous artifact's bytes and no other
+    file, and names the artifact, not the temporary file."""
+
+    def test_table_failing_halfway_keeps_previous_artifact(self, tmp_path):
+        path = tmp_path / "artifact.csv"
+        write_table(path, ["k", "v"], [["old", 0]])
+        before = path.read_bytes()
+        with pytest.raises(DataError) as caught:
+            write_table(path, ["k", "v"], _rows_then_disk_full())
+        assert str(caught.value) == \
+            f"cannot write {path}: {os.strerror(errno.ENOSPC)}"
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["artifact.csv"]
+
+    def test_json_failing_at_the_rename_keeps_previous_artifact(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "artifact.json"
+        write_json(path, {"old": 1})
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(DataError) as caught:
+            write_json(path, {"new": 2})
+        assert str(caught.value) == \
+            f"cannot write {path}: {os.strerror(errno.EIO)}"
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["artifact.json"]
+
+    def test_write_replaces_the_artifact(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        write_json(path, {"old": 1})
+        write_json(path, {"new": 2})
+        assert path.read_text() == '{\n  "new": 2\n}'
+        assert os.listdir(tmp_path) == ["artifact.json"]

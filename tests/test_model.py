@@ -702,7 +702,8 @@ class TestCheckpoint:
         assert "step" not in payload and "adam_first" not in payload
         payload["version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="version-3"):
+        with pytest.raises(DataError, match=f"version is {version}, "
+                           "expected 3; rerun train"):
             load_checkpoint(path, toy.config)
 
     def test_garbage_file_rejected(self, toy, tmp_path):

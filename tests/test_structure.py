@@ -1,13 +1,14 @@
 """The package's shape: every definition in it is used by it or overrides
 a method of a base class from outside it, one module, through one reader
 and one writer, holds the CSV format, one function calls numpy's text
-reader, one module holds the combination labels, and every layer that the
-benchmark traces exists under the name it wraps, with the parameter names
-its counts read."""
+reader, one module holds the combination labels, one builds the messages
+that name a stage to rerun, and every layer that the benchmark traces
+exists under the name it wraps, with the parameter names its counts read."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import roadgrade
@@ -94,6 +95,14 @@ def test_only_model_names_the_combination_letters():
     namers |= {module for module, node in _nodes(ast.alias)
                if node.name in letters}
     assert namers == {"model.py"}
+
+
+def test_only_data_builds_a_rerun_message():
+    docstrings = {id(node.value) for _, node in _nodes(ast.Expr)}
+    builders = {module for module, node in _nodes(ast.Constant)
+                if isinstance(node.value, str) and id(node) not in docstrings
+                and re.search(r"\brerun\b", node.value)}
+    assert builders == {"data.py"}
 
 
 # the attributes the benchmark's tracer wraps, by owner; it skips a missing
