@@ -112,10 +112,8 @@ def resolution_indices(tau, horizon: int,
 
 def first_anchor(horizon: int, windows: tuple[int, int, int]) -> int:
     """Earliest anchor hour with full history in every resolution channel."""
-    delta_h, delta_d, delta_w = windows
-    return max(delta_h - 1,
-               24 * (delta_d - 1) + 24 - horizon,
-               168 * (delta_w - 1) + 168 - horizon)
+    return -min(int(idx.min())
+                for idx in resolution_indices(0, horizon, windows).values())
 
 
 def split_anchors(t: int, horizon: int, windows: tuple[int, int, int],

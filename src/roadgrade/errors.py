@@ -19,7 +19,3 @@ class NumericError(RoadgradeError):
 
 class DegenerateVarianceError(RoadgradeError):
     """Spatial statistic undefined: a constant field or no connections."""
-
-
-class DegenerateMarginalsError(RoadgradeError):
-    """Agreement statistic undefined: chance agreement is already 1."""

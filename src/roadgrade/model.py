@@ -321,8 +321,7 @@ def train(state: ModelState, train_samples: Samples, val_samples: Samples,
             if epoch == 1 and lo == 0:
                 _keep_tape_pages(loss)
             loss.backward()
-            adam_step(state.params, state.params.gradients(),
-                      lr=cfg.learning_rate)
+            adam_step(state.params, lr=cfg.learning_rate)
             epoch_loss += loss.item() * len(batch)
             del loss  # free this batch's autodiff graph before the next one
         epoch_loss /= len(order)
@@ -370,12 +369,12 @@ def load_checkpoint(path, expected_config: ModelConfig) -> ModelState:
             {**asdict(expected_config), "params": {
                 name: p.shape for name, p in state.params.params.items()}},
             "train")
-        values = {name: np.reshape(entry["values"], entry["shape"])
-                  for name, entry in params.items()}
-        for name, value in values.items():
+        values = [np.reshape(params[name]["values"], p.shape)
+                  for name, p in state.params.params.items()]
+        for name, value in zip(state.params.params, values):
             if not np.all(np.isfinite(value)):
                 raise DataError(f"{path}: parameter {name!r} is not finite")
-        state.params.load_values(values)
+        state.params.load_values(np.concatenate(values, axis=None))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc!r}") from None
     return state

@@ -53,38 +53,25 @@ class ParamSet:
             for p in self.params.values():
                 p.requires_grad = True
 
-    def gradients(self) -> dict[str, np.ndarray]:
-        """Current gradients, with zeros for parameters not touched."""
-        return {
-            name: (np.zeros_like(p.data) if p.grad is None else p.grad)
-            for name, p in self.params.items()
-        }
+    def copy_values(self) -> np.ndarray:
+        return self.values.copy()
 
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Copy `values`, one per parameter and shaped alike, into it."""
-        for name, p in self.params.items():
-            p.data[...] = values[name]
+    def load_values(self, values: np.ndarray) -> None:
+        """Copy `values`, laid out like `self.values`, into it."""
+        self.values[...] = values
 
 
-def adam_step(params: ParamSet, grads: dict[str, np.ndarray],
-              lr: float) -> ParamSet:
-    """One bias-corrected Adam update over every named parameter.
+def adam_step(params: ParamSet, lr: float) -> ParamSet:
+    """One bias-corrected Adam update from every parameter's `.grad`.
 
-    All checks run first, a missing or mis-shaped gradient before a
-    non-finite one.  The update is elementwise, so one pass over the flat
-    buffers gives bitwise the values of a per-parameter loop.
+    A non-finite gradient is refused, by parameter name, before any state
+    changes.  The update is elementwise, so one pass over the flat buffers
+    gives bitwise the values of a per-parameter loop.
     """
-    for name, p in params.params.items():
-        g = grads.get(name)
-        if g is None or g.shape != p.data.shape:
-            raise ValueError(f"gradient missing or mis-shaped for {name!r}")
-    g = np.concatenate([grads[name] for name in params.params], axis=None)
+    g = np.concatenate([p.grad for p in params.params.values()], axis=None)
     if not np.all(np.isfinite(g)):
-        name = next(name for name in params.params
-                    if not np.all(np.isfinite(grads[name])))
+        name = next(name for name, p in params.params.items()
+                    if not np.all(np.isfinite(p.grad)))
         raise NumericError(f"non-finite gradient for {name!r}")
     params.step += 1
     t = params.step

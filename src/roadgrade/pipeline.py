@@ -115,12 +115,10 @@ class RunConfig:
                      resolutions=model.RESOLUTION_KEYS) -> model.ModelConfig:
         try:
             return model.ModelConfig(
-                n_roads=n_roads, n_grades=self.n_grades,
-                hidden1=self.hidden1, hidden2=self.hidden2, heads=self.heads,
-                window_hours=self.window_hours, window_days=self.window_days,
-                window_weeks=self.window_weeks, resolutions=resolutions,
-                learning_rate=self.learning_rate,
-                batch_size=self.batch_size, epochs=self.epochs)
+                n_roads=n_roads, resolutions=resolutions,
+                **{f.name: getattr(self, f.name)
+                   for f in fields(model.ModelConfig)
+                   if f.name not in ("n_roads", "resolutions")})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -39,11 +39,8 @@ def _random_connected_network(rng: np.random.Generator, n_roads: int,
         n_chords = max(1, members.size // 2)
         for _ in range(n_chords):
             a, b = rng.choice(members, size=2, replace=False)
-            if a != b:
-                edges.append((int(a), int(b)))
-    lengths = rng.uniform(0.5, 5.0, size=n_roads)
-    return RoadNetwork(lengths, tuple((min(a, b), max(a, b))
-                                      for a, b in edges if a != b))
+            edges.append((int(a), int(b)))
+    return RoadNetwork(rng.uniform(0.5, 5.0, size=n_roads), tuple(edges))
 
 
 def _episode_track(rng: np.random.Generator, t: int, count: int,

@@ -4,6 +4,7 @@ import csv
 import json
 import shutil
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,9 @@ from roadgrade.graphs import GRAPH_KEYS, GraphSet, read_adjacency_csv, \
     read_network_csv, write_network_csv, RoadNetwork
 from roadgrade.metrics import accuracy, grade_mae_series, \
     quadratic_weighted_kappa
-from roadgrade.model import CHECKPOINT_VERSION, load_checkpoint, \
-    predict_many
-from roadgrade.pipeline import load_config, split_hours
+from roadgrade.model import CHECKPOINT_VERSION, ModelConfig, \
+    load_checkpoint, predict_many
+from roadgrade.pipeline import RunConfig, load_config, split_hours
 from roadgrade.synth import DEFAULT_START
 from roadgrade.data import TrafficSeries
 
@@ -702,6 +703,19 @@ def test_rejected_config_value_exits_1(tmp_path, capsys, key, value):
     assert main(["synth", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "Traceback" not in err
+
+
+def test_model_config_copies_each_model_field_of_the_run_config():
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    names = [f.name for f in fields(ModelConfig)
+             if f.name not in ("n_roads", "resolutions")]
+    assert set(names) <= set(defaults)
+    # each value off its default; 6 heads still divide 12 roads
+    doubled = {name: 2 * defaults[name] for name in names}
+    built = RunConfig(**doubled).model_config(12, ("day",))
+    assert (built.n_roads, built.resolutions) == (12, ("day",))
+    for name in names:
+        assert getattr(built, name) == doubled[name] != defaults[name], name
 
 
 class TestOverrides:

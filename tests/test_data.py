@@ -7,6 +7,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadgrade.data import (TrafficSeries, check_artifact, enumerate_samples,
                             first_anchor, minmax_normalize,
@@ -103,6 +105,18 @@ class TestSliceSample:
             for channel in idx.values():
                 assert np.all(np.diff(channel) > 0)
                 assert channel.max() < tau + horizon
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 48), st.integers(1, 10), st.integers(1, 5),
+           st.integers(1, 400))
+    def test_first_anchor_is_the_earliest_with_full_history(
+            self, delta_h, delta_d, delta_w, horizon):
+        windows = (delta_h, delta_d, delta_w)
+        tau = first_anchor(horizon, windows)
+        at = resolution_indices(tau, horizon, windows).values()
+        assert all(idx.min() >= 0 for idx in at)
+        earlier = resolution_indices(tau - 1, horizon, windows).values()
+        assert any(idx.min() < 0 for idx in earlier)
 
     def test_horizon_beyond_series_end(self):
         series = make_series(t=600)

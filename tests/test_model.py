@@ -273,7 +273,8 @@ class TestOneTemporalAttentionPass:
             params.zero_grad()
             logits, attn = forward(setup.state, batch, setup.graphs)
             nll_loss(logits, batch.target).backward()
-            return logits.data, attn, params.gradients()
+            return logits.data, attn, {name: p.grad for name, p
+                                       in params.params.items()}
 
         logits, attn, grads = run()
         monkeypatch.setattr(model, "build_combinations",
@@ -303,7 +304,8 @@ class TestFusedForward:
             params.zero_grad()
             logits, _ = forward(setup.state, batch, setup.graphs)
             nll_loss(logits, batch.target).backward()
-            return logits.data, params.gradients()
+            return logits.data, {name: p.grad
+                                 for name, p in params.params.items()}
 
         logits, grads = run()
         monkeypatch.setattr(model, "shared_gcn_layer", gcn_layer_chain)
@@ -564,7 +566,7 @@ class TestBatching:
             params.zero_grad()
             logits, _ = forward(toy.state, batch, toy.graphs)
             nll_loss(logits, batch.target).backward()
-            return params.gradients()
+            return {name: p.grad for name, p in params.params.items()}
 
         batch_grads = gradients(samples)
         singles = [gradients(samples.take([i])) for i in range(4)]
