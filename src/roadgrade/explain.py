@@ -23,10 +23,7 @@ TRACE_VERSION = 1
 
 def aggregate_attention(attention: np.ndarray) -> np.ndarray:
     """Sum the score tensor over heads and features to a comb x comb matrix."""
-    attention = np.asarray(attention)
-    if attention.ndim != 4:
-        raise ValueError("expected a (heads, comb, comb, d) tensor")
-    return attention.sum(axis=(0, 3))
+    return np.asarray(attention).sum(axis=(0, 3))
 
 
 def normalize_heatmap(aggregated: np.ndarray) -> np.ndarray:

@@ -15,15 +15,6 @@ import numpy as np
 from .errors import NumericError
 
 
-def _check_samples(samples: np.ndarray) -> np.ndarray:
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ValueError("samples must be a non-empty (count, features) array")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("samples must be finite")
-    return samples
-
-
 def som_train(samples: np.ndarray, class_count: int, seed: int,
               learn_rate0: float, radius0: float, max_iter: int) -> np.ndarray:
     """Competitive training with exponentially decaying schedules.
@@ -33,13 +24,9 @@ def som_train(samples: np.ndarray, class_count: int, seed: int,
     full pass over the samples in order.  The winning node and every strip
     neighbor within the current (decaying) reach move toward the sample by
     learn_rate * radius; late iterations update the winner alone.  The
-    caller keeps radius0 > 1 and the first gain learn_rate0 * radius0 <= 1.
+    caller passes finite (count, 2) samples in [0, 1] and keeps radius0 > 1
+    and the first gain learn_rate0 * radius0 <= 1.
     """
-    samples = _check_samples(samples)
-    if samples.shape[1] != 2:
-        raise ValueError("samples must be (count, 2) (speed, flow) pairs")
-    if np.any(samples < 0) or np.any(samples > 1):
-        raise ValueError("samples must be normalized to [0, 1]")
     # The decayed radius approaches 1 by construction, so membership is
     # |i - j| <= radius - 1: initially every node closer than radius0,
     # shrinking to winner-only updates late in training.  Keeping distance-1
@@ -83,11 +70,6 @@ def som_train(samples: np.ndarray, class_count: int, seed: int,
 
 def som_assign(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Nearest node per sample (0-based indices, ties to the lowest index)."""
-    samples = _check_samples(samples)
-    if samples.shape[1] != weights.shape[1]:
-        raise ValueError(
-            f"sample dimension {samples.shape[1]} does not match the map "
-            f"dimension {weights.shape[1]}")
     diff = samples[:, None, :] - weights[None, :, :]
     return np.argmin((diff ** 2).sum(axis=2), axis=1)
 
@@ -113,23 +95,16 @@ def ordinalize(weights: np.ndarray, samples: np.ndarray,
 
 
 def label_series(values: np.ndarray, class_count: int, seed: int,
-                 learn_rate0: float, radius0: float, max_iter: int,
-                 fit_hours: tuple[int, int] | None = None) -> np.ndarray:
+                 learn_rate0: float, radius0: float,
+                 max_iter: int) -> np.ndarray:
     """Grade every (road, hour) of a normalized (roads, hours, channels)
-    series; returns the (roads, hours) grades in [1, class_count].
-
-    By default the map is trained on all observations; pass `fit_hours` to
-    restrict training to a sub-range while still assigning every hour.
-    """
-    values = np.asarray(values, dtype=np.float64)
+    series; returns the (roads, hours) grades in [1, class_count].  The map
+    is trained on all observations."""
     n, t, channels = values.shape
-    lo, hi = (0, t) if fit_hours is None else (int(fit_hours[0]),
-                                               int(fit_hours[1]))
-    if not (0 <= lo < hi <= t):
-        raise ValueError(f"fit hours [{lo}, {hi}) outside series")
-    fit = values[:, lo:hi, :].reshape(-1, channels)
-    weights = som_train(fit, class_count, seed=seed, learn_rate0=learn_rate0,
-                        radius0=radius0, max_iter=max_iter)
-    nodes = som_assign(weights, values.reshape(-1, channels)).reshape(n, t)
-    perm = ordinalize(weights, fit, nodes[:, lo:hi].ravel())
-    return perm[nodes]
+    samples = values.reshape(-1, channels)
+    weights = som_train(samples, class_count, seed=seed,
+                        learn_rate0=learn_rate0, radius0=radius0,
+                        max_iter=max_iter)
+    nodes = som_assign(weights, samples)
+    perm = ordinalize(weights, samples, nodes)
+    return perm[nodes].reshape(n, t)

@@ -180,7 +180,7 @@ def build_pattern_graph(history: TrafficSeries, alpha_speed: float,
     and then over anchors.  Diagonal forced to zero.  A distance that
     overflows to +inf gives kernel 0, its limit.
     """
-    start, stop = _check_window(history, window)
+    start, stop = window
     n_anchors = stop - start - pattern_hours + 1
     n = history.n
     if n < 2:  # no pair to compare
@@ -227,7 +227,7 @@ def build_attribute_graph(history: TrafficSeries, net: RoadNetwork,
     [max flow, max speed, length] with the first two min-max normalized
     across roads; similarity is exp(-squared distance), averaged over days.
     """
-    start, stop = _check_window(history, window)
+    start, stop = window
     n_days = (stop - start) // 24
     n = history.n
     total = np.zeros((n, n))
@@ -256,30 +256,14 @@ def _minmax_across_roads(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _check_window(history: TrafficSeries, window) -> tuple[int, int]:
-    start, stop = int(window[0]), int(window[1])
-    if not (0 <= start < stop <= history.t):
-        raise ValueError(f"window [{start}, {stop}) outside series of "
-                         f"length {history.t}")
-    return start, stop
-
-
 # -- normalization -------------------------------------------------------------
 
 
 def normalize_adjacency(w: np.ndarray) -> np.ndarray:
-    """Self-loop-augmented symmetric normalization D^-1/2 (W+I) D^-1/2."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("adjacency must be square")
-    if not np.allclose(w, w.T, rtol=0.0, atol=1e-12):
-        raise ValueError("adjacency must be symmetric")
-    if np.any(w < 0):
-        raise ValueError("adjacency entries must be non-negative")
+    """Self-loop-augmented symmetric normalization D^-1/2 (W+I) D^-1/2 of a
+    symmetric, non-negative W, so that every degree is at least 1."""
     w_tilde = w + np.eye(w.shape[0])
     degree = w_tilde.sum(axis=1)
-    if np.any(degree <= 0):
-        raise ValueError("zero degree after self-loop augmentation")
     inv_sqrt = 1.0 / np.sqrt(degree)
     # outer product keeps the result exactly symmetric
     return w_tilde * np.outer(inv_sqrt, inv_sqrt)
@@ -324,8 +308,6 @@ def global_morans_i(x, conn: np.ndarray) -> float:
     connectivity matrix `conn`."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if n != conn.shape[0]:
-        raise ValueError("need one value per road of the connectivity matrix")
     s0 = float(conn.sum())
     if s0 == 0.0:
         raise DegenerateVarianceError("network has no connections")
@@ -341,8 +323,6 @@ def local_morans_i(x, conn: np.ndarray) -> np.ndarray:
     """Per-road local autocorrelation (zero for isolated roads)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if n != conn.shape[0]:
-        raise ValueError("need one value per road of the connectivity matrix")
     dev = x - x.mean()
     mean_sq_dev = float(dev @ dev) / n
     if mean_sq_dev == 0.0:

@@ -80,8 +80,6 @@ class Tensor:
 
     def backward(self) -> None:
         """Accumulate gradients of this (scalar) tensor into the graph."""
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar tensor")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -278,8 +276,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 def _check_softmax_input(values: Array) -> None:
-    if values.size == 0:
-        raise ValueError("softmax input must be non-empty")
     if not np.all(np.isfinite(values)):
         raise NumericError("softmax input must be finite")
 

@@ -387,10 +387,12 @@ def _copy_pipeline(pipeline, tmp_path, **extra):
     return config, copy
 
 
-def _grade_nine(path):
-    lines = path.read_text().splitlines()
-    lines[1] = lines[1].rsplit(",", 1)[0] + ",9"
-    path.write_text("\n".join(lines) + "\n")
+def _first_grade(grade):
+    def tamper(path):
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + f",{grade}"
+        path.write_text("\n".join(lines) + "\n")
+    return tamper
 
 
 def _drop_fifth_test_hour(path):
@@ -416,11 +418,13 @@ def _drop_last_hour(path):
 
 class TestStalePredictions:
     @pytest.mark.parametrize("tamper, extra, stale", [
-        (_grade_nine, {}, None),
+        (_first_grade(9), {}, None),
+        (_first_grade(0), {}, None),
         (_drop_fifth_test_hour, {}, None),
         (None, {"val_size": 10}, "first hour"),
         (_duplicate_first_row, {}, None),
-    ], ids=["grade-9", "missing-hour", "other-val-size", "duplicate-row"])
+    ], ids=["grade-9", "grade-0", "missing-hour", "other-val-size",
+            "duplicate-row"])
     def test_evaluate_exits_2_naming_predictions(self, pipeline, tmp_path,
                                                  capsys, tamper, extra,
                                                  stale):
@@ -437,9 +441,20 @@ class TestStalePredictions:
     def test_train_rejects_out_of_range_grade(self, pipeline, tmp_path,
                                               capsys):
         config, out = _copy_pipeline(pipeline, tmp_path)
-        _grade_nine(out / "grades_h1.csv")
+        _first_grade(9)(out / "grades_h1.csv")
         assert main(["train", "--config", str(config)]) == 2
         assert "grades_h1.csv" in capsys.readouterr().err
+
+    # the grade file's reader is the one check of its range
+    @pytest.mark.parametrize("command, grade", [
+        ("train", 0), ("evaluate", 9), ("evaluate", 0)])
+    def test_out_of_range_grade_file_exits_2_naming_it(
+            self, pipeline, tmp_path, capsys, command, grade):
+        config, out = _copy_pipeline(pipeline, tmp_path)
+        _first_grade(grade)(out / "grades_h1.csv")
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "grades_h1.csv" in err and "Traceback" not in err
 
     def test_train_rejects_grade_file_shorter_than_series(
             self, pipeline, tmp_path, capsys):

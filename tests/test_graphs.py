@@ -561,14 +561,6 @@ class TestNormalizeAdjacency:
         radius = power_iteration_radius(normalize_adjacency(w))
         assert radius <= 1.0 + 1e-9
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            normalize_adjacency(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        with pytest.raises(ValueError):
-            normalize_adjacency(-np.eye(2))
-        with pytest.raises(ValueError):
-            normalize_adjacency(np.zeros((2, 3)))
-
 
 # -- Moran statistics -------------------------------------------------------------------
 

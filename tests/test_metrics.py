@@ -22,12 +22,6 @@ class TestAccuracy:
     def test_three_of_four(self):
         assert accuracy([1, 2, 3, 4], [1, 2, 3, 5]) == 0.75
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            accuracy([1, 2], [1])
-        with pytest.raises(ValueError):
-            accuracy([], [])
-
 
 class TestKappa:
     def test_perfect_prediction(self):
@@ -92,12 +86,6 @@ class TestKappa:
         assert quadratic_weighted_kappa(pred, truth, 5) == pytest.approx(
             kappa, abs=1e-12)
 
-    def test_grade_range_enforced(self):
-        with pytest.raises(ValueError):
-            quadratic_weighted_kappa([0, 1], [1, 1], 5)
-        with pytest.raises(ValueError):
-            quadratic_weighted_kappa([1, 1], [1, 6], 5)
-
 
 class TestGradeMae:
     def test_perfect(self):
@@ -115,9 +103,3 @@ class TestGradeMae:
         truth = np.array([[2, 2, 1], [3, 1, 5]])
         np.testing.assert_allclose(grade_mae_series(pred, truth),
                                    [0.5, 1.0, 3.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            grade_mae_series(np.ones((2, 3)), np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            grade_mae_series(np.ones(3), np.ones(3))

@@ -2,8 +2,10 @@
 a method of a base class from outside it, one module, through one reader
 and one writer, holds the CSV format, one function calls numpy's text
 reader, one module holds the combination labels, one builds the messages
-that name a stage to rerun, and every layer that the benchmark traces
-exists under the name it wraps, with the parameter names its counts read."""
+that name a stage to rerun, only the functions that turn outside input
+into program values raise ValueError, and every layer that the benchmark
+traces exists under the name it wraps, with the parameter names its counts
+read."""
 
 import ast
 import importlib
@@ -103,6 +105,30 @@ def test_only_data_builds_a_rerun_message():
                 if isinstance(node.value, str) and id(node) not in docstrings
                 and re.search(r"\brerun\b", node.value)}
     assert builders == {"data.py"}
+
+
+# where outside input becomes program values; each caller turns the
+# ValueError into a data or config error, and the functions past these
+# trust their arguments
+INPUT_BOUNDARIES = {
+    ("data.py", "TrafficSeries.__post_init__"),
+    ("graphs.py", "RoadNetwork.__post_init__"),
+    ("model.py", "ModelConfig.__post_init__"),
+    ("data.py", "_parse_hour"),
+    ("explain.py", "read_attention_record"),
+}
+
+
+def test_only_the_input_boundaries_raise_value_error():
+    scopes = _nodes((ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    raisers = set()
+    for module, node in _nodes(ast.Raise):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if getattr(exc, "id", None) == "ValueError":
+            raisers.add((module, ".".join(
+                scope.name for name, scope in scopes
+                if name == module and node in ast.walk(scope))))
+    assert sorted(raisers - INPUT_BOUNDARIES) == []
 
 
 # the attributes the benchmark's tracer wraps, by owner; it skips a missing
