@@ -9,13 +9,14 @@ prior weeks, together with the grade targets at tau + horizon.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -312,20 +313,31 @@ def _write_text(path, write) -> None:
             os.remove(temporary)
 
 
+def _csv_text(rows) -> str:
+    """`rows` in `csv.writer`'s defaults: CRLF ends, minimal quoting."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
 def write_table(path, header: list[str], rows) -> None:
-    """A CSV table: `header`, then `rows`, through `csv.writer`'s defaults
-    (CRLF line ends, fields quoted only where needed)."""
-    _write_text(path, lambda fh: csv.writer(fh).writerows(
-        chain([header], rows)))
+    """A CSV table: `header`, then `rows`, as `_csv_text` renders them."""
+    _write_text(path, lambda fh: fh.write(_csv_text(chain([header], rows))))
 
 
 def _write_road_hours(path, header: list[str], values: np.ndarray,
                       start: datetime, road_ids: list[str]) -> None:
-    """Values (roads, hours, k) as a road×hour table, road by road."""
+    """Values (roads, hours, k) as a road×hour table, road by road, in
+    `write_table`'s bytes: `csv.writer` quotes each road id once, and each
+    value is spelled by `repr`, as `csv.writer` spells a float or an int."""
     stamps = [(start + h * HOUR).isoformat() for h in range(values.shape[1])]
-    write_table(path, header, ([rid, stamp, *cells]
-                               for rid, road in zip(road_ids, values.tolist())
-                               for stamp, cells in zip(stamps, road)))
+    parts = [_csv_text([header])]
+    for rid, columns in zip(road_ids, values.transpose(0, 2, 1).tolist()):
+        # a two-field row, as an empty id alone on its row would be quoted
+        quoted = _csv_text([[rid, ""]])[:-len(",\r\n")]
+        rows = zip(repeat(quoted), stamps, *(map(repr, c) for c in columns))
+        parts.append("\r\n".join(map(",".join, rows)) + "\r\n")
+    _write_text(path, lambda fh: fh.writelines(parts))
 
 
 def write_measurements_csv(path, series: TrafficSeries,

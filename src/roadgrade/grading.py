@@ -69,9 +69,12 @@ def som_train(samples: np.ndarray, class_count: int, seed: int,
 
 
 def som_assign(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Nearest node per sample (0-based indices, ties to the lowest index)."""
-    diff = samples[:, None, :] - weights[None, :, :]
-    return np.argmin((diff ** 2).sum(axis=2), axis=1)
+    """Nearest node per sample (0-based indices, ties to the lowest index);
+    squared differences are summed feature by feature, as `som_train` does."""
+    dist = np.zeros((len(samples), len(weights)))
+    for k in range(samples.shape[1]):
+        dist += (samples[:, None, k] - weights[None, :, k]) ** 2
+    return np.argmin(dist, axis=1)
 
 
 def ordinalize(weights: np.ndarray, samples: np.ndarray,

@@ -130,9 +130,20 @@ class TestSomAssign:
             dists = [np.sum((w - sample) ** 2) for w in weights]
             assert node == int(np.argmin(dists))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            som_assign(np.zeros((2, 3)), np.zeros((4, 2)))
+    def test_equals_the_summed_squares_formula(self):
+        # nodes on a 1/8 grid, one of them twice, and every midpoint of two
+        # nodes: the squares are exact, so midpoints tie exactly
+        rng = np.random.default_rng(9)
+        weights = rng.integers(0, 9, size=(6, 2)) / 8
+        weights[5] = weights[2]
+        midpoints = [(a + b) / 2 for i, a in enumerate(weights)
+                     for b in weights[i + 1:]]
+        samples = np.vstack([rng.uniform(0, 1, size=(300, 2)), midpoints])
+        dist = ((samples[:, None] - weights) ** 2).sum(axis=2)
+        ties = (dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert ties[300:].sum() >= 5
+        np.testing.assert_array_equal(som_assign(weights, samples),
+                                      np.argmin(dist, axis=1))
 
 
 def grade_nodes(weights, samples):

@@ -400,7 +400,15 @@ def test_mangled_table_fails_as_the_reference_fails(scratch, kind, flavour,
     (lambda path, values, ids: write_grades_csv(path, values, START, ids),
      lambda path, ids: read_grades_csv(path, ids)[0],
      np.array([[1, 2]] * 6)),
-], ids=["measurements", "grades"])
+    (lambda path, values, ids: write_measurements_csv(
+        path, TrafficSeries(values, START), ids),
+     lambda path, ids: read_measurements_csv(path, ids).values,
+     np.array([np.roll([1e16, 1e-05, 5e-324, 0.1 + 0.2, -0.0, 7.0], r)
+               .reshape(3, 2) for r in range(6)])),
+    (lambda path, values, ids: write_grades_csv(path, values, START, ids),
+     lambda path, ids: read_grades_csv(path, ids)[0],
+     np.arange(6 * 5).reshape(6, 5) * 37 + 3),
+], ids=["measurements", "grades", "float-spellings", "multi-digit-grades"])
 def test_writer_quotes_road_ids_as_csv_writer_does(tmp_path, write, read,
                                                     values):
     ids = ["a,b", 'say "hi"', "two\nlines", "", "cr\rlf\r\n", "plain"]

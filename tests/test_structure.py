@@ -75,7 +75,7 @@ def test_one_function_reads_and_one_writes_csv():
                       if name == module and call in ast.walk(node)]
             callers.setdefault(func.attr, []).append((module, *around))
     assert callers == {"reader": [("data.py", "read_csv_rows")],
-                       "writer": [("data.py", "write_table")]}
+                       "writer": [("data.py", "_csv_text")]}
 
 
 def test_one_function_calls_numpys_text_reader():
