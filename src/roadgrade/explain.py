@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import check_artifact, read_json_object, write_json, \
-    write_table
+from .data import check_artifact, decode_floats, encode_floats, \
+    read_json_object, write_json, write_table
 from .errors import DataError
 from .graphs import GRAPH_KEYS
 from .model import COMBINATION_LABELS, RESOLUTION_KEYS
 from .tensor import softmax
 
 TRACE_FORMAT = "roadgrade-attention"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 def aggregate_attention(attention: np.ndarray) -> np.ndarray:
@@ -86,7 +86,7 @@ def write_attention_record(path, attention: np.ndarray,
         "prediction_length": prediction_length,
         "labels": list(COMBINATION_LABELS),
         "shape": list(attention.shape),
-        "values": attention.ravel().tolist(),
+        "values": encode_floats(attention),
     }
     write_json(path, payload, indent=None)
 
@@ -101,8 +101,7 @@ def read_attention_record(path, prediction_length: int,
         "labels": COMBINATION_LABELS, "prediction_length": prediction_length,
         "shape": shape}, "predict")
     try:
-        attention = np.array(payload["values"],
-                             dtype=np.float64).reshape(shape)
+        attention = decode_floats(payload["values"], shape)
         if not np.allclose(attention.sum(axis=2), 1.0, atol=1e-6):
             raise ValueError("attention is not normalized over the attended "
                              "combination axis")

@@ -24,7 +24,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import Samples, check_artifact, read_json_object, write_json
+from .data import Samples, check_artifact, decode_floats, encode_floats, \
+    read_json_object, write_json
 from .errors import DataError, NumericError
 from .graphs import GraphSet, GRAPH_KEYS
 from .optim import ParamSet, adam_step
@@ -42,7 +43,7 @@ COMBINATION_LABELS = tuple(f"{GRAPH_LETTERS[g]}_{RESOLUTION_LETTERS[r]}"
                            for r in RESOLUTION_KEYS for g in GRAPH_KEYS)
 
 CHECKPOINT_FORMAT = "roadgrade-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -342,7 +343,7 @@ def save_checkpoint(path, state: ModelState) -> None:
         "seed": state.seed,
         "config": asdict(state.config),  # tuples as JSON lists
         "params": {name: {"shape": list(p.shape),
-                          "values": p.data.ravel().tolist()}
+                          "values": encode_floats(p.data)}
                    for name, p in state.params.params.items()},
     }
     write_json(path, payload, indent=None)
@@ -362,7 +363,7 @@ def load_checkpoint(path, expected_config: ModelConfig) -> ModelState:
             {**asdict(expected_config), "params": {
                 name: p.shape for name, p in state.params.params.items()}},
             "train")
-        values = [np.reshape(params[name]["values"], p.shape)
+        values = [decode_floats(params[name]["values"], p.shape)
                   for name, p in state.params.params.items()]
         for name, value in zip(state.params.params, values):
             if not np.all(np.isfinite(value)):

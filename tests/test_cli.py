@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline on a miniature synthetic corpus."""
 
+import base64
 import csv
 import json
 import shutil
@@ -572,44 +573,70 @@ def _reversed_labels(path):
     _set_json(path, payload)
 
 
+def _values(entry):
+    """The floats of an attention record or of one checkpoint parameter."""
+    return data.decode_floats(entry["values"], entry["shape"])
+
+
 def _first_head_only(path):
     payload = json.loads(path.read_text())
-    heads, *rest = payload["shape"]
-    payload["shape"] = [1, *rest]
-    payload["values"] = payload["values"][:len(payload["values"]) // heads]
+    payload["values"] = data.encode_floats(_values(payload)[:1])
+    payload["shape"] = [1, *payload["shape"][1:]]
     _set_json(path, payload)
 
 
 def _per_graph_kernels(path):
     """Split each stacked GCN kernel into the per-graph entries of the
-    version-2 layout, keeping the version-3 header."""
+    version-2 layout, keeping the current header."""
     payload = json.loads(path.read_text())
     params = payload["params"]
     for name in [n for n in params if n.startswith(("gcn1/", "gcn2/"))]:
-        entry = params.pop(name)
-        shape = entry["shape"][1:]
-        size = int(np.prod(shape))
-        for i, key in enumerate(GRAPH_KEYS):
+        kernels = _values(params.pop(name))
+        for key, kernel in zip(GRAPH_KEYS, kernels, strict=True):
             params[f"{name}/{key}"] = {
-                "shape": shape,
-                "values": entry["values"][i * size:(i + 1) * size]}
+                "shape": list(kernel.shape),
+                "values": data.encode_floats(kernel)}
     _set_json(path, payload)
 
 
 def _extra_parameter(path):
     payload = json.loads(path.read_text())
-    payload["params"]["unused/weight"] = {"shape": [1], "values": [0.0]}
+    payload["params"]["unused/weight"] = {
+        "shape": [1], "values": data.encode_floats([0.0])}
     _set_json(path, payload)
 
 
 def _set_parameter(name, value):
-    """Put `value` (NaN or inf, which json writes as bare tokens) into the
-    first entry of checkpoint parameter `name`."""
+    """Put `value` (NaN or inf) into the first entry of checkpoint
+    parameter `name`."""
     def tamper(path):
         payload = json.loads(path.read_text())
-        payload["params"][name]["values"][0] = value
+        entry = payload["params"][name]
+        values = _values(entry)
+        values.flat[0] = value
+        entry["values"] = data.encode_floats(values)
         _set_json(path, payload)
     return tamper
+
+
+def _edit_payload(edit, name=None):
+    """Replace the base64 payload of the attention record, or of checkpoint
+    parameter `name`, by `edit(payload)`."""
+    def tamper(path):
+        payload = json.loads(path.read_text())
+        entry = payload if name is None else payload["params"][name]
+        entry["values"] = edit(entry["values"])
+        _set_json(path, payload)
+    return tamper
+
+
+def _not_base64(text):
+    return "!" + text[1:]
+
+
+def _one_value_short(text):
+    """The payload without its last float: valid base64, 8 bytes short."""
+    return base64.b64encode(base64.b64decode(text)[:-8]).decode("ascii")
 
 
 @pytest.mark.parametrize("command, name, tamper, rerun", [
@@ -626,6 +653,14 @@ def _set_parameter(name, value):
      None),
     ("predict", "checkpoint_h1.json", _set_parameter("head/bias", -np.inf),
      None),
+    ("predict", "checkpoint_h1.json",
+     _edit_payload(_not_base64, "attn/query"), None),
+    ("predict", "checkpoint_h1.json",
+     _edit_payload(_one_value_short, "head/bias"), None),
+    ("predict", "checkpoint_h1.json",
+     _edit_payload(lambda text: text[:-2], "head/bias"), None),
+    ("predict", "checkpoint_h1.json",
+     _edit_payload(lambda text: [0.0], "head/bias"), None),
     ("explain", "attention_h1.json", _shape_off_by_one, "predict"),
     ("explain", "attention_h1.json", lambda path: _set_json(path, []), None),
     ("explain", "attention_h1.json", _without_values, None),
@@ -641,15 +676,20 @@ def _set_parameter(name, value):
     ("explain", "attention_h1.json", _set_field("prediction_length", True),
      "predict"),
     ("explain", "attention_h1.json", _first_head_only, "predict"),
+    ("explain", "attention_h1.json", _edit_payload(_not_base64), None),
+    ("explain", "attention_h1.json", _edit_payload(_one_value_short), None),
 ], ids=["checkpoint-no-config", "checkpoint-list",
         "checkpoint-per-graph-layout", "checkpoint-extra-parameter",
         "checkpoint-nan-query", "checkpoint-nan-bias", "checkpoint-inf-bias",
+        "checkpoint-invalid-base64", "checkpoint-one-value-short",
+        "checkpoint-truncated-text", "checkpoint-list-values",
         "attention-bad-shape",
         "attention-list", "attention-no-values", "attention-unknown-label",
         "attention-label-not-string", "attention-repeated-label",
         "attention-reversed-labels", "attention-prediction-length-3",
         "attention-prediction-length-string",
-        "attention-prediction-length-true", "attention-one-head"])
+        "attention-prediction-length-true", "attention-one-head",
+        "attention-invalid-base64", "attention-one-value-short"])
 def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
                                          name, tamper, rerun):
     config, out = _copy_pipeline(pipeline, tmp_path)
@@ -660,6 +700,31 @@ def test_malformed_json_artifact_exits_2(pipeline, tmp_path, capsys, command,
     if rerun:  # a record of another layout names the stage that writes it
         assert err.startswith(f"data error: {out / name}: ")
         assert err.endswith(f"; rerun {rerun}\n") and err.count("\n") == 1
+
+
+def _as_number_lists(path):
+    """The artifact in the layout of the previous version: every float
+    payload spelled as a JSON list of numbers."""
+    payload = json.loads(path.read_text())
+    entries = (payload["params"].values() if "params" in payload
+               else [payload])
+    for entry in entries:
+        entry["values"] = _values(entry).ravel().tolist()
+    payload["version"] -= 1
+    _set_json(path, payload)
+
+
+@pytest.mark.parametrize("command, name, message", [
+    ("predict", "checkpoint_h1.json", "version is 3, expected 4; rerun train"),
+    ("explain", "attention_h1.json",
+     "version is 1, expected 2; rerun predict"),
+], ids=["checkpoint-version-3", "attention-version-1"])
+def test_number_list_artifact_of_the_previous_version_exits_2(
+        pipeline, tmp_path, capsys, command, name, message):
+    config, out = _copy_pipeline(pipeline, tmp_path)
+    _as_number_lists(out / name)
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"data error: {out / name}: {message}\n"
 
 
 def test_checkpoint_of_another_config_exits_2_naming_key(pipeline, tmp_path,

@@ -1,6 +1,8 @@
 """Normalization, three-resolution slicing, splits, measurement files, the
-staleness check of artifacts read back, and atomic artifact writes."""
+staleness check of artifacts read back, atomic artifact writes, and the
+float payloads of machine-read artifacts."""
 
+import base64
 import errno
 import os
 from datetime import datetime
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadgrade.data import (TrafficSeries, check_artifact, enumerate_samples,
+from roadgrade.data import (TrafficSeries, check_artifact, decode_floats,
+                            encode_floats, enumerate_samples,
                             first_anchor, minmax_normalize,
                             read_grades_csv, read_measurements_csv,
                             resolution_indices, split_anchors,
@@ -322,3 +325,70 @@ class TestAtomicWrites:
         write_json(path, {"new": 2})
         assert path.read_text() == '{\n  "new": 2\n}'
         assert os.listdir(tmp_path) == ["artifact.json"]
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype="<f8").view("<u8")
+
+
+class TestFloatPayload:
+    def test_round_trip_is_bitwise(self):
+        rng = np.random.default_rng(5)
+        special = np.array([-0.0, 0.0, 5e-324, 2.2e-308, 1.5e308, -1.5e308,
+                            np.inf, -np.inf])
+        # a NaN with payload bits, which a float round trip could drop
+        nan = np.array([0x7FF8_0000_DEAD_BEEF, 0xFFF0_0000_0000_0001],
+                       dtype="<u8").view("<f8")
+        values = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(
+            -300, 300, size=40), special, nan]).reshape(2, 5, 5)
+        decoded = decode_floats(encode_floats(values), values.shape)
+        assert decoded.shape == values.shape and decoded.dtype == np.float64
+        np.testing.assert_array_equal(_bits(decoded), _bits(values))
+
+    def test_c_order_of_any_layout(self):
+        values = np.arange(12.0).reshape(3, 4)
+        text = encode_floats(values.T)  # a Fortran-ordered view
+        np.testing.assert_array_equal(decode_floats(text, (4, 3)), values.T)
+
+    def test_big_endian_input_encodes_as_its_little_endian_copy(self):
+        values = np.random.default_rng(6).normal(size=(4, 3))
+        assert encode_floats(values.astype(">f8")) == \
+            encode_floats(values.astype("<f8"))
+
+    def test_text_is_base64_of_little_endian_float64(self):
+        assert encode_floats([1.0]) == "AAAAAAAA8D8="
+        assert encode_floats([]) == ""
+        assert decode_floats("", (0, 3)).shape == (0, 3)
+
+    def test_decoded_array_is_writable(self):
+        decoded = decode_floats(encode_floats([1.0, 2.0]), (2,))
+        decoded[0] = 3.0
+        assert decoded.tolist() == [3.0, 2.0]
+
+    @pytest.mark.parametrize("text", ["AAAAAAAA8D8", "AAAAAAAA 8D8=",
+                                      "AAAAAAAA!8D8=", "AAAAAAAA8D8=é",
+                                      "AAAAAAAA\n8D8="],
+                             ids=["unpadded", "space", "symbol",
+                                  "non-ascii", "newline"])
+    def test_non_base64_text_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            decode_floats(text, (1,))
+
+    @pytest.mark.parametrize("values, shape", [
+        ([1.0, 2.0], (3,)), ([1.0, 2.0], (1,)), ([1.0] * 6, (2, 2))],
+        ids=["short", "long", "matrix"])
+    def test_payload_not_filling_the_shape_raises_value_error(
+            self, values, shape):
+        with pytest.raises(ValueError):
+            decode_floats(encode_floats(values), shape)
+
+    def test_byte_count_not_a_multiple_of_eight_raises_value_error(self):
+        raw = base64.b64decode(encode_floats([1.0, 2.0]))
+        cut = base64.b64encode(raw[:-3]).decode("ascii")
+        with pytest.raises(ValueError):
+            decode_floats(cut, (2,))
+
+    @pytest.mark.parametrize("payload", [None, [1.0], 1.0, {"a": 1}])
+    def test_a_non_string_payload_raises_type_error(self, payload):
+        with pytest.raises(TypeError):
+            decode_floats(payload, (1,))

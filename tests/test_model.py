@@ -685,7 +685,7 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path, other)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_rejected(self, toy, tmp_path, version):
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, toy.state)
@@ -694,7 +694,7 @@ class TestCheckpoint:
         payload["version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=f"version is {version}, "
-                           "expected 3; rerun train"):
+                           "expected 4; rerun train"):
             load_checkpoint(path, toy.config)
 
     def test_garbage_file_rejected(self, toy, tmp_path):

@@ -1,6 +1,7 @@
 """The package's shape: every definition in it is used by it or overrides
 a method of a base class from outside it, one module, through one reader
-and one writer, holds the CSV format, one function calls numpy's text
+and one writer, holds the CSV format, the same module holds the base64
+payloads of float arrays, one function calls numpy's text
 reader, one module holds the combination labels, one builds the messages
 that name a stage to rerun, only the functions that turn outside input
 into program values raise ValueError, and every layer that the benchmark
@@ -54,12 +55,20 @@ def test_every_definition_is_referenced_from_the_package():
     assert unused == []
 
 
-def test_only_data_imports_csv():
+def _importers(name):
     importers = {module for module, node in _nodes(ast.Import)
-                 if any(alias.name == "csv" for alias in node.names)}
+                 if any(alias.name == name for alias in node.names)}
     importers |= {module for module, node in _nodes(ast.ImportFrom)
-                  if node.module == "csv"}
-    assert importers == {"data.py"}
+                  if node.module == name}
+    return importers
+
+
+def test_only_data_imports_csv():
+    assert _importers("csv") == {"data.py"}
+
+
+def test_only_data_imports_base64():
+    assert _importers("base64") == {"data.py"}
 
 
 def test_one_function_reads_and_one_writes_csv():
