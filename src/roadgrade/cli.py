@@ -1,8 +1,6 @@
-"""Command-line interface.
+"""Command-line interface: one subcommand per stage of `pipeline.STAGES`.
 
-Subcommands: synth, graphs, label, train, predict, evaluate, explain,
-ablate.  Exit codes: 0 success, 1 usage/config error, 2 data error,
-3 numeric failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -11,29 +9,12 @@ import argparse
 import sys
 
 from .errors import ConfigError, DataError, NumericError
-from .pipeline import (load_config, make_dir, run_ablate, run_evaluate,
-                       run_explain, run_graphs, run_label, run_predict,
-                       run_synth, run_train)
+from .pipeline import STAGES, load_config, make_dir
 
-USAGE_EXIT, DATA_EXIT, NUMERIC_EXIT = 1, 2, 3
-
-# name -> (help text, runner taking the config and horizon)
-COMMANDS = {
-    "synth": ("generate a synthetic network and measurement series",
-              lambda cfg, horizon: run_synth(cfg)),
-    "graphs": ("build the four adjacency matrices and a Moran report",
-               run_graphs),
-    "label": ("assign congestion grades with the self-organizing map",
-              run_label),
-    "train": ("train the prediction model", run_train),
-    "predict": ("predict test-split grades and dump the attention trace",
-                run_predict),
-    "evaluate": ("score the predictions file against the grade file: "
-                 "accuracy, kappa and the per-hour grade MAE", run_evaluate),
-    "explain": ("derive combination-importance reports", run_explain),
-    "ablate": ("compare full and single-resolution models",
-               lambda cfg, horizon: run_ablate(cfg)),
-}
+USAGE_EXIT = 1
+# each refusal's stderr prefix and exit code
+FAILURES = {ConfigError: ("config error", USAGE_EXIT),
+            DataError: ("data error", 2), NumericError: ("numeric failure", 3)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,19 +27,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="roadgrade",
                      description="Citywide traffic grade prediction pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (doc, _) in COMMANDS.items():
-        cmd = sub.add_parser(name, help=doc, description=doc)
+    for name, stage in STAGES.items():
+        cmd = sub.add_parser(name, help=stage.help, description=stage.help)
         cmd.add_argument("--config", help="YAML run configuration file")
         cmd.add_argument("--seed", type=int, help="override the run seed")
         cmd.add_argument("--out", help="override the output directory")
-        if name not in ("synth", "ablate"):
+        if stage.per_horizon:
             cmd.add_argument("--horizon", type=int,
                              help="prediction horizon in hours "
                                   "(default: first configured horizon)")
     return parser
 
 
-def _run(args) -> list:
+def _run(args):
     overrides = {"seed": args.seed, "out_dir": args.out}
     cfg = load_config(args.config, overrides)
     horizon = getattr(args, "horizon", None)
@@ -66,26 +47,21 @@ def _run(args) -> list:
         horizon = cfg.horizons[0]
     elif horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    _, runner = COMMANDS[args.command]
+    stage = STAGES[args.command]
     make_dir("out_dir", cfg.out_dir)
-    return runner(cfg, horizon)
+    return (stage.runner(cfg, horizon) if stage.per_horizon
+            else stage.runner(cfg))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        written = _run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
-    for path in written:
-        print(path)
+        for path in _run(args):  # a lazy runner's paths print as stages end
+            print(path)
+    except tuple(FAILURES) as exc:
+        prefix, code = FAILURES[type(exc)]
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

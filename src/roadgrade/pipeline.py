@@ -7,6 +7,7 @@ reruns with identical inputs and seed write byte-identical artifacts.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -127,12 +128,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     values: dict = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 loaded = yaml.safe_load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"malformed config {path}: {exc}") from None
+        except yaml.YAMLError as exc:  # its message spans lines
+            raise ConfigError(f"malformed config {path}: "
+                              f"{' '.join(str(exc).split())}") from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -141,7 +143,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(values) - known)
+    unknown = sorted(map(str, set(values) - known))  # a YAML key: any scalar
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
@@ -442,3 +444,34 @@ def run_ablate(cfg: RunConfig) -> list[Path]:
     path = cfg.out_path("ablation.csv")
     data.write_table(path, ["variant", "horizon", "accuracy", "kappa"], rows)
     return [path]
+
+
+def run_all(cfg: RunConfig):
+    """Each per-horizon stage, horizon by horizon, run as the paths are read:
+    `graphs` of a horizon writes the files that its later stages check."""
+    return (path for horizon in cfg.horizons
+            for stage in STAGES.values() if stage.per_horizon
+            for path in stage.runner(cfg, horizon))
+
+
+# in pipeline order; a stage per horizon takes `--horizon` and is in `run`
+Stage = namedtuple("Stage", "help runner per_horizon")
+STAGES = {
+    "synth": Stage("generate a synthetic network and measurement series",
+                   run_synth, False),
+    "graphs": Stage("build the four adjacency matrices and a Moran report",
+                    run_graphs, True),
+    "label": Stage("assign congestion grades with the self-organizing map",
+                   run_label, True),
+    "train": Stage("train the prediction model", run_train, True),
+    "predict": Stage("predict test-split grades and dump the attention trace",
+                     run_predict, True),
+    "evaluate": Stage("score the predictions file against the grade file: "
+                      "accuracy, kappa and the per-hour grade MAE",
+                      run_evaluate, True),
+    "explain": Stage("derive combination-importance reports", run_explain,
+                     True),
+    "ablate": Stage("compare full and single-resolution models", run_ablate,
+                    False),
+    "run": Stage("run graphs to explain for each horizon", run_all, False),
+}

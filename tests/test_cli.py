@@ -60,11 +60,11 @@ def write_config(tmp_path, out_name="out", **extra):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """synth -> graphs -> label -> train -> predict -> evaluate -> explain."""
+    """synth, then run: graphs -> label -> train -> predict -> evaluate ->
+    explain."""
     tmp_path = tmp_path_factory.mktemp("cli")
     config, out = write_config(tmp_path)
-    for command in ("synth", "graphs", "label", "train", "predict",
-                    "evaluate", "explain"):
+    for command in ("synth", "run"):
         assert main([command, "--config", str(config)]) == 0, command
     return tmp_path, config, out
 
@@ -172,22 +172,25 @@ class TestPipeline:
             quadratic_weighted_kappa(preds, truth, cfg.n_grades)
 
 
+def _assert_same_files(first: Path, second: Path):
+    """The two directories hold the same file names with the same bytes."""
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), \
+            name
+
+
 def test_rerun_is_byte_identical(tmp_path):
     first_cfg, first_out = write_config(tmp_path, "first")
     second_cfg, second_out = write_config(tmp_path, "second")
-    artifacts = {}
-    for config, out in ((first_cfg, first_out), (second_cfg, second_out)):
-        for command in ("synth", "graphs", "label", "train", "predict",
-                        "evaluate", "explain"):
+    for config in (first_cfg, second_cfg):
+        for command in ("synth", "run"):
             assert main([command, "--config", str(config)]) == 0
-        artifacts[out] = {p.name: p.read_bytes()
-                          for p in sorted(Path(out).iterdir())}
         # synth writes into the shared tmp dir; remove for the second pass
         (tmp_path / "network.csv").unlink()
         (tmp_path / "measurements.csv").unlink()
-    assert artifacts[first_out].keys() == artifacts[second_out].keys()
-    for name in artifacts[first_out]:
-        assert artifacts[first_out][name] == artifacts[second_out][name], name
+    _assert_same_files(first_out, second_out)
 
 
 def test_network_row_order_changes_no_artifact(tmp_path):
@@ -208,14 +211,60 @@ def test_network_row_order_changes_no_artifact(tmp_path):
     shuffled_config, shuffled_out = write_config(
         tmp_path, "shuffled", network=str(tmp_path / "shuffled.csv"))
     for path in (config, shuffled_config):
-        for command in ("graphs", "label", "train", "predict", "evaluate",
-                        "explain", "ablate"):
+        for command in ("run", "ablate"):
             assert main([command, "--config", str(path)]) == 0, command
-    names = sorted(p.name for p in out.iterdir())
-    assert names == sorted(p.name for p in shuffled_out.iterdir())
-    for name in names:
-        assert (out / name).read_bytes() == \
-            (shuffled_out / name).read_bytes(), name
+    _assert_same_files(out, shuffled_out)
+
+
+def test_run_writes_what_the_stage_commands_write(tmp_path, capsys):
+    # the reference: each per-horizon stage by hand, all of them for one
+    # horizon before the next; `run` prints what they print, in order
+    config, out = write_config(tmp_path, horizons=[1, 2])
+    staged = tmp_path / "staged"
+    assert main(["synth", "--config", str(config)]) == 0
+    capsys.readouterr()
+    for horizon in ("1", "2"):
+        for command in ("graphs", "label", "train", "predict", "evaluate",
+                        "explain"):
+            assert main([command, "--config", str(config), "--out",
+                         str(staged), "--horizon", horizon]) == 0, command
+    printed = capsys.readouterr().out
+    assert main(["run", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == printed.replace(str(staged), str(out))
+    _assert_same_files(out, staged)
+
+
+def test_run_takes_no_horizon(tmp_path):
+    config, _ = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config), "--horizon", "1"])
+    assert exc.value.code == 1
+
+
+# the first stage that refuses ends the run with its exit code and one
+# stderr line; the earlier stages print what they wrote, and no later stage
+# writes anything
+@pytest.mark.parametrize("extra, missing, message, written", [
+    ({}, "measurements.csv", "measurements.csv", []),
+    ({"test_size": 0}, None, "test split is empty; nothing to predict",
+     ["adjacency_attribute.csv", "adjacency_pattern.csv",
+      "adjacency_topological.csv", "adjacency_weighted.csv",
+      "checkpoint_h1.json", "grades_h1.csv", "moran_report.json",
+      "training_log_h1.json"]),
+], ids=["graphs-without-measurements", "predict-without-test-split"])
+def test_run_stops_at_the_first_refusing_stage(tmp_path, capsys, extra,
+                                               missing, message, written):
+    config, out = write_config(tmp_path, horizons=[1, 2], **extra)
+    assert main(["synth", "--config", str(config)]) == 0
+    if missing:
+        (tmp_path / missing).unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+    assert sorted(Path(line).name for line in captured.out.splitlines()) \
+        == sorted(p.name for p in out.iterdir()) == written
 
 
 def test_ablate_emits_comparison_table(tmp_path):
@@ -239,10 +288,8 @@ def test_ablate_writes_what_the_stage_commands_write(tmp_path):
     staged = tmp_path / "staged"
     assert main(["synth", "--config", str(config)]) == 0
     assert main(["ablate", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(staged)]) == 0
     for horizon in (1, 2):
-        for command in ("graphs", "label", "train"):
-            assert main([command, "--config", str(config), "--out",
-                         str(staged), "--horizon", str(horizon)]) == 0
         for name in (f"checkpoint_h{horizon}.json",
                      f"training_log_h{horizon}.json",
                      f"grades_h{horizon}.csv"):
@@ -327,15 +374,29 @@ class TestFailureModes:
         config, _ = write_config(tmp_path)
         assert main(["graphs", "--config", str(config)]) == 2
 
-    def test_unknown_config_key_exits_1(self, tmp_path):
+    # and YAML keys that are no strings: an int, null, an int beside a string
+    @pytest.mark.parametrize("text, named", [
+        ("unknown_knob: 3\n", "unknown_knob"),
+        ("1: 2\n", "1"),
+        ("null: 2\n", "None"),
+        ("1: 2\nfoo: 3\n", "1, foo"),
+    ], ids=["unknown", "int", "null", "int-and-str"])
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys, text, named):
         path = tmp_path / "bad.yaml"
-        path.write_text("unknown_knob: 3\n")
+        path.write_text(text)
         assert main(["synth", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: unknown config keys: {named}\n"
 
-    def test_malformed_config_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("text", [b"{:::\n", b"seed: 3\n\xff\n"],
+                             ids=["yaml", "not-utf-8"])
+    def test_malformed_config_exits_1(self, tmp_path, capsys, text):
         path = tmp_path / "bad.yaml"
-        path.write_text("{:::\n")
+        path.write_bytes(text)
         assert main(["synth", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -883,8 +944,7 @@ def test_one_road_network_runs_every_stage(tmp_path):
     write_measurements_csv(tmp_path / "measurements.csv",
                            TrafficSeries(series.values[:1], series.start),
                            ids[:1])
-    for command in ("graphs", "label", "train", "predict", "evaluate",
-                    "explain", "ablate"):
+    for command in ("run", "ablate"):
         assert main([command, "--config", str(config)]) == 0, command
     report = json.loads((out / "moran_report.json").read_text())
     for entry in report["channels"].values():
