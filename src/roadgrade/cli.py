@@ -18,9 +18,9 @@ FAILURES = {ConfigError: ("config error", USAGE_EXIT),
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
+    def error(self, message):  # argparse's, with exit code 1 for its 2
         self.print_usage(sys.stderr)
-        raise SystemExit(USAGE_EXIT)
+        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import base64
 import csv
+import hashlib
 import io
 import json
 import os
 import warnings
+from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -161,10 +163,13 @@ _GRADE_HEADER = ["road_id", "timestamp", "grade"]
 _EPOCH = datetime(1, 1, 1)
 
 
-def read_csv_rows(path):
-    """The rows of a UTF-8 CSV file, as lists of fields, one at a time."""
+def read_csv_rows(path, raw: bytes | None = None):
+    """The rows of a UTF-8 CSV file, as lists of fields, one at a time;
+    given `raw`, the file's bytes read before, the rows of those."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with (open(path, newline="", encoding="utf-8") if raw is None
+              else io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                    newline="")) as fh:
             yield from csv.reader(fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
@@ -186,28 +191,28 @@ def _stamp(hour: int) -> str:
     return (_EPOCH + hour * HOUR).isoformat()
 
 
-def _read_plain(path, header: list[str], index: dict[str, int], convert):
-    """The road, hour and values of each row of a road×hour table, and the
-    hour of each timestamp, through numpy's text reader.  None where numpy
-    might read otherwise than csv.reader, float() and int(): a quote, a NUL
-    (dropped at a field's end), a byte \\x1c-\\x1f (a space to numpy only),
-    a line long enough for a field they refuse (131,072 characters, 4,300
-    digits), a field that fills its width (cut); and a field that numpy,
-    `index` or `_parse_hour` refuses, or a warning."""
+def _read_plain(raw: bytes, header: list[str], index: dict[str, int],
+                convert):
+    """The road, hour and values of each row of a road×hour table, the
+    file's bytes `raw`, and the hour of each timestamp, through numpy's text
+    reader.  None where numpy might read otherwise than csv.reader, float()
+    and int(): a quote, a NUL (dropped at a field's end), a byte \\x1c-\\x1f
+    (a space to numpy only), a line long enough for a field they refuse
+    (131,072 characters, 4,300 digits), a field that fills its width (cut);
+    and a field that numpy, `index` or `_parse_hour` refuses, or a
+    warning."""
     try:
-        with open(path, "rb") as fh:
-            plain = not any(byte in block
-                            for block in iter(lambda: fh.read(1 << 16), b"")
-                            for byte in b'"\0\x1c\x1d\x1e\x1f')
-            fh.seek(0)
-            if not plain or max(map(len, fh)) > 4096:  # < 4,300 digits
-                return None
+        if (any(byte in raw for byte in b'"\0\x1c\x1d\x1e\x1f')
+                or max(map(len, io.BytesIO(raw))) > 4096):  # < 4,300 digits
+            return None
         specs = (("road", max(map(len, index), default=0) + 1,
                   index.__getitem__),
                  ("stamp", 20, _parse_hour))  # isoformat() writes 19 bytes
+        # universal newlines and UTF-8, as loadtxt decodes a file it opens
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
         with warnings.catch_warnings(action="error"):
             table = np.loadtxt(
-                path, [(name, f"S{size}") for name, size, _ in specs]
+                text, [(name, f"S{size}") for name, size, _ in specs]
                 + [(name, convert) for name in header[2:]], comments=None,
                 delimiter=",", skiprows=1, ndmin=1, encoding="utf-8")
         columns = []
@@ -215,7 +220,7 @@ def _read_plain(path, header: list[str], index: dict[str, int], convert):
             # return_index: a stable sort, twice as fast on road-by-road tables
             distinct, _, where = np.unique(table[name], return_index=True,
                                            return_inverse=True)
-            texts = [raw.decode("latin-1") for raw in distinct.tolist()]
+            texts = [field.decode("latin-1") for field in distinct.tolist()]
             if max(map(len, texts)) >= size:  # it may have been cut short
                 return None
             parsed = dict(zip(texts, map(parse, texts)))
@@ -225,13 +230,47 @@ def _read_plain(path, header: list[str], index: dict[str, int], convert):
     return *columns, [table[name] for name in header[2:]], parsed
 
 
+# the parsed road×hour tables of the last reads, by path, content digest,
+# header, road ids and value type: unchanged bytes are parsed once
+_PARSED: OrderedDict[tuple, tuple[np.ndarray, datetime]] = OrderedDict()
+_PARSED_LIMIT = 4
+
+
 def _read_road_hours(path, header: list[str], road_ids: list[str],
                      convert) -> tuple[np.ndarray, datetime]:
     """A road×hour table: one `road_id,timestamp,<values>` row per cell.
 
     Rows come in any order, and every road in `road_ids` covers every hour
     exactly once.  Returns the values (roads, hours, k) in `road_ids` order
-    as `convert`'s numpy type, and the first hour.
+    as `convert`'s numpy type, read-only, and the first hour.
+
+    The file is read once, and its bytes are hashed and parsed: an edit
+    after the read waits for the next one.  A table whose bytes were parsed
+    before, among the last `_PARSED_LIMIT`, is not parsed again; a refused
+    one is parsed on every read.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    key = (os.fspath(path), hashlib.sha256(raw).digest(), tuple(header),
+           tuple(road_ids), convert)
+    if key in _PARSED:
+        _PARSED.move_to_end(key)
+    else:
+        values, start = _parse_road_hours(path, raw, header, road_ids,
+                                          convert)
+        values.flags.writeable = False  # shared by every later read
+        _PARSED[key] = values, start
+        if len(_PARSED) > _PARSED_LIMIT:
+            _PARSED.popitem(last=False)
+    return _PARSED[key]
+
+
+def _parse_road_hours(path, raw: bytes, header: list[str],
+                      road_ids: list[str], convert):
+    """`_read_road_hours`' table from the file's bytes `raw`.
 
     A plain table is read by numpy (`_read_plain`), any other a row at a
     time, which names the first bad row.
@@ -240,10 +279,10 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     index = {rid: r for r, rid in enumerate(road_ids)}
     hour_of: dict[str, int] = {}  # each distinct timestamp is parsed once
     roads, hours, *cells = ([] for _ in header)  # a list per column
-    source = read_csv_rows(path)
+    source = read_csv_rows(path, raw)
     if next(source, None) != header:
         raise DataError(f"{path}:1: expected header {','.join(header)}")
-    if (plain := _read_plain(path, header, index, convert)) is not None:
+    if (plain := _read_plain(raw, header, index, convert)) is not None:
         roads, hours, cells, hour_of = plain
     else:
         for record, row in enumerate(source, start=2):
@@ -281,7 +320,8 @@ def _read_road_hours(path, header: list[str], road_ids: list[str],
     if filled.size < keys.size:  # name the first row that repeats a cell
         i = int(np.setdiff1d(np.arange(keys.size), first_rows)[0])
         r, h = divmod(int(keys[i]), span)
-        lines = [n for n, row in enumerate(read_csv_rows(path), 1) if row]
+        lines = [n for n, row in enumerate(read_csv_rows(path, raw), 1)
+                 if row]
         raise DataError(f"{path}:{lines[i + 1]}: duplicate row for road "
                         f"{road_ids[r]!r} at {_stamp(first + h)}")
     if filled.size < len(road_ids) * span:  # name the first cell no row fills

@@ -234,11 +234,36 @@ def test_run_writes_what_the_stage_commands_write(tmp_path, capsys):
     _assert_same_files(out, staged)
 
 
-def test_run_takes_no_horizon(tmp_path):
+def test_run_takes_no_horizon(tmp_path, capsys):
     config, _ = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(config), "--horizon", "1"])
     assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: roadgrade ")
+    assert err.endswith(
+        "\nroadgrade: error: unrecognized arguments: --horizon 1\n")
+
+
+def test_run_parses_the_measurements_once(tmp_path, monkeypatch):
+    # graphs, label, train and predict read them at both horizons
+    config, _ = write_config(tmp_path, horizons=[1, 2])
+    assert main(["synth", "--config", str(config)]) == 0
+    reads, parsed = [], []
+
+    def read(*args, _read=data.read_measurements_csv):
+        reads.append(args)
+        return _read(*args)
+
+    def parse(path, *args, _parse=data._parse_road_hours):
+        parsed.append(Path(path).name)
+        return _parse(path, *args)
+
+    monkeypatch.setattr(data, "read_measurements_csv", read)
+    monkeypatch.setattr(data, "_parse_road_hours", parse)
+    assert main(["run", "--config", str(config)]) == 0
+    assert len(reads) == 8
+    assert parsed.count("measurements.csv") == 1
 
 
 # the first stage that refuses ends the run with its exit code and one
@@ -402,6 +427,17 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main(["not-a-command"])
         assert exc.value.code == 1
+
+    def test_non_integer_horizon_exits_1_with_the_reason(self, tmp_path,
+                                                         capsys):
+        config, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(config), "--horizon", "x"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: roadgrade train ")
+        assert err.endswith("\nroadgrade train: error: argument --horizon: "
+                            "invalid int value: 'x'\n")
 
     def test_bad_horizon_exits_1(self, tmp_path):
         config, _ = write_config(tmp_path)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadgrade import data
+from roadgrade import data, pipeline
 from roadgrade.data import (TrafficSeries, read_csv_rows, read_grades_csv,
                             read_measurements_csv, write_grades_csv,
                             write_measurements_csv)
@@ -284,9 +284,11 @@ def _plain_reads():
 
 def _read_both(scratch, content: bytes, kind, ids):
     """The package reader's and the reference's result or DataError
-    message, in that order."""
+    message, in that order; the package parses the table afresh, as
+    `scratch` may have held the same bytes before."""
     header, convert, _ = KINDS[kind]
     scratch.write_bytes(content)
+    data._PARSED.clear()
     outcomes = []
     for read in (data._read_road_hours, reference_read_road_hours):
         try:
@@ -478,3 +480,81 @@ def test_first_of_several_faults_is_named(scratch, first):
                                     "measurements", ["A"])
     assert package == reference
     assert package.startswith(f"{scratch}:{first}: ")
+
+
+# -- unchanged bytes are parsed once --------------------------------------------
+
+
+@contextlib.contextmanager
+def _parses():
+    """The paths that `data._parse_road_hours` parses while the block runs,
+    in order."""
+    paths = []
+    parse = data._parse_road_hours
+
+    def record(path, *args):
+        paths.append(path)
+        return parse(path, *args)
+
+    with mock.patch.object(data, "_parse_road_hours", record):
+        yield paths
+
+
+def test_same_length_rewrite_is_parsed_again(tmp_path):
+    # one digit changed in place: the size stays, and the mtime may too
+    path = tmp_path / "measurements.csv"
+    _measurements(path)
+    with _parses() as parsed:
+        before = read_measurements_csv(path, IDS).values
+        read_measurements_csv(path, IDS)
+        text = path.read_bytes()
+        path.write_bytes(text.replace(b",11.5", b",19.5"))
+        after = read_measurements_csv(path, IDS).values
+    assert parsed == [path, path]
+    assert before[1, 2, 1] == 11.5 and after[1, 2, 1] == 19.5
+    assert np.array_equal(np.delete(before.ravel(), -1),
+                          np.delete(after.ravel(), -1))
+
+
+@pytest.mark.parametrize("write, read", [
+    (_measurements, lambda path: read_measurements_csv(path, IDS).values),
+    (_grades, lambda path: read_grades_csv(path, IDS)[0]),
+    (_grades, lambda path: pipeline._read_grades(path, IDS, 3)[0]),
+], ids=["measurements", "grades", "predictions"])
+def test_returned_tables_are_read_only(tmp_path, write, read):
+    path = tmp_path / "table.csv"
+    write(path)
+    for _ in range(2):  # the parse, then the kept table
+        with pytest.raises(ValueError, match="read-only"):
+            read(path)[0, 0] = 2
+    assert np.all(read(path)[0, 0] != 2)
+
+
+def test_refused_table_is_refused_on_every_read(tmp_path):
+    path = tmp_path / "grades.csv"
+    _grades(path)
+    valid = path.read_bytes()
+    header, first, *rest = valid.splitlines(keepends=True)
+    path.write_bytes(b"".join([header, first, first, *rest]))
+    with _parses() as parsed:
+        for _ in range(2):
+            with pytest.raises(DataError, match=":3: duplicate row"):
+                read_grades_csv(path, IDS)
+        path.write_bytes(valid)
+        grades, _ = read_grades_csv(path, IDS)
+    assert parsed == [path] * 3
+    np.testing.assert_array_equal(grades, [[1, 2, 3], [3, 2, 1]])
+
+
+def test_at_most_four_tables_are_kept(tmp_path):
+    paths = [tmp_path / f"grades_{i}.csv" for i in range(5)]
+    for path in paths:
+        _grades(path)
+    with _parses() as parsed:
+        for path in paths:
+            read_grades_csv(path, IDS)
+        for path in paths[:0:-1]:  # the last four, none parsed again
+            read_grades_csv(path, IDS)
+        read_grades_csv(paths[0], IDS)  # evicted by the fifth
+    assert parsed == [*paths, paths[0]]
+    assert len(data._PARSED) == data._PARSED_LIMIT == 4
