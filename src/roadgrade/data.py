@@ -300,8 +300,8 @@ def _parse_road_hours(path, raw: bytes, header: list[str],
                 except ValueError as exc:
                     raise DataError(f"{path}:{record}: {exc}") from None
             try:
-                for column, raw in zip(cells, row[2:]):
-                    column.append(convert(raw))
+                for column, field in zip(cells, row[2:]):
+                    column.append(convert(field))
             except ValueError:
                 raise DataError(
                     f"{path}:{record}: bad {what} value {row[2:]}") from None

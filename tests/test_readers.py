@@ -359,6 +359,10 @@ HAZARDS = {
     "field-over-the-csv-limit": ("measurements", ["A"],
                                  "A,2020-01-06T00:00:00,0." + "0" * 131072
                                  + "1,1.0\n", True),
+    # a table that only the row loop reads, refused after that loop
+    "quoted-table-with-a-duplicate-row": (
+        "measurements", ["A"], '"A",2020-01-06T00:00:00,1.0,2.0\n'
+        '"A",2020-01-06T00:00:00,3.0,4.0\n', True),
 }
 
 
